@@ -4,7 +4,8 @@ The package is organized around the estimation pipeline:
 
 ``tensor_ops``
     flattening / mode-product / HOSVD primitives with a frozen linearization
-    convention shared by every estimator;
+    convention, and the linear-algebra core shared by every estimator (one
+    thin SVD, one normal-equation solve, one regressor list, one residual);
 ``factor``
     alternating least squares for slopes plus a low-rank component, proxy
     extraction from preliminary residuals;

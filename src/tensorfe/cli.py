@@ -37,7 +37,7 @@ from .montecarlo import (
 )
 from .inference import pooled_ols
 from .panel_io import load_panel_csv
-from .tensor_ops import multilinear_rank
+from .tensor_ops import multilinear_rank, net_of
 
 _DOMAIN_ERRORS = (
     PanelFormatError,
@@ -248,8 +248,7 @@ def _cmd_diagnose(args) -> int:
     """
     frame, y, xs = _load_panel(args)
     beta = pooled_ols(y, xs)
-    resid = y - sum(b * xk for b, xk in zip(beta, xs))
-    info = multilinear_rank(resid, rel_tol=args.rel_tol)
+    info = multilinear_rank(net_of(y, xs, beta), rel_tol=args.rel_tol)
     payload = {
         "shape": list(y.shape),
         "rel_tol": args.rel_tol,

@@ -16,49 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimationError, RankError, TensorShapeError
+from .errors import EstimationError, RankError
 from .tensor_ops import (
-    SVD_ZERO_RTOL,
     as_tensor,
     check_dim,
+    cross_moments,
     flatten,
     hosvd_truncate,
+    net_of,
+    regressor_list,
+    solve_gram,
+    truncated_svd,
     unflatten,
 )
-
-GRAM_COND_LIMIT = 1e12
-
-
-def _regressor_list(x, shape) -> list[np.ndarray]:
-    """Normalize the regressor argument to a list of tensors shaped like Y."""
-    if isinstance(x, np.ndarray) and x.shape == tuple(shape):
-        xs = [x]
-    else:
-        xs = list(x)
-    out = []
-    for k, xk in enumerate(xs):
-        arr = as_tensor(xk, name=f"regressor {k + 1}")
-        if arr.shape != tuple(shape):
-            raise TensorShapeError(
-                f"regressor {k + 1} has shape {arr.shape}, expected {tuple(shape)}"
-            )
-        out.append(arr)
-    if not out:
-        raise TensorShapeError("need at least one regressor")
-    return out
-
-
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve the K x K normal equations, falling back to a pseudo-inverse.
-
-    Returns the solution and a flag that is True when the Gram matrix was too
-    ill-conditioned for a plain solve.
-    """
-    if not np.all(np.isfinite(gram)) or np.linalg.norm(gram) == 0.0:
-        raise EstimationError("regressor Gram matrix is zero or non-finite")
-    if np.linalg.cond(gram) < GRAM_COND_LIMIT:
-        return np.linalg.solve(gram, rhs), False
-    return np.linalg.pinv(gram) @ rhs, True
 
 
 @dataclass
@@ -83,7 +53,6 @@ class FactorFit:
     converged: bool
     objective: float
     objective_trace: list[float] = field(default_factory=list)
-    gram_flagged: bool = False
 
     @property
     def low_rank(self) -> np.ndarray:
@@ -124,9 +93,15 @@ def fit_factor_model(
     FactorFit
         The slope vector of the objective-minimizing iterate seen, with the
         matching loadings, factors, and residual.
+
+    Raises
+    ------
+    EstimationError
+        When the regressors' Gram matrix fails the conditioning policy of
+        :func:`~tensorfe.tensor_ops.solve_gram`.
     """
     y_arr = as_tensor(y, name="outcome", min_order=2)
-    xs = _regressor_list(x, y_arr.shape)
+    xs = regressor_list(x, y_arr.shape)
     flatten_dim = check_dim(flatten_dim, y_arr.ndim)
     a = flatten(y_arr, flatten_dim)
     bs = [flatten(xk, flatten_dim) for xk in xs]
@@ -136,16 +111,11 @@ def fit_factor_model(
         raise RankError(f"n_factors {n_factors} out of range [0, {max_rank}]")
 
     n_reg = len(bs)
-    gram = np.empty((n_reg, n_reg))
-    rhs = np.empty(n_reg)
-    for k, bk in enumerate(bs):
-        rhs[k] = np.vdot(bk, a)
-        for l in range(k, n_reg):
-            gram[k, l] = gram[l, k] = np.vdot(bk, bs[l])
-    beta, flagged = _solve_gram(gram, rhs)
+    gram, rhs = cross_moments(bs, a)
+    beta = solve_gram(gram, rhs)
 
     if n_factors == 0:
-        resid_mat = a - np.einsum("k,kij->ij", beta, np.stack(bs))
+        resid_mat = net_of(a, bs, beta)
         objective = float(np.vdot(resid_mat, resid_mat))
         return FactorFit(
             beta=beta,
@@ -158,7 +128,6 @@ def fit_factor_model(
             converged=True,
             objective=objective,
             objective_trace=[objective],
-            gram_flagged=flagged,
         )
 
     # Cross-Gram blocks: everything the SVD step needs about the residual's
@@ -198,10 +167,9 @@ def fit_factor_model(
         # images of the flattenings under the current basis.
         t_a = basis.T @ a
         t_b = [basis.T @ bk for bk in bs]
-        proj_resid = t_a - np.einsum("k,kij->ij", beta, np.stack(t_b))
+        proj_resid = net_of(t_a, t_b, beta)
         low_rank_part = np.array([np.vdot(t_b[k], proj_resid) for k in range(n_reg)])
-        new_beta, step_flagged = _solve_gram(gram, rhs - low_rank_part)
-        flagged = flagged or step_flagged
+        new_beta = solve_gram(gram, rhs - low_rank_part)
         delta = np.linalg.norm(new_beta - beta)
         scale = max(np.linalg.norm(beta), 1.0)
         beta = new_beta
@@ -218,12 +186,10 @@ def fit_factor_model(
     # One honest thin SVD at the winning slope vector: the Gram eigenbasis is
     # only a device for the loop, reported quantities come from the residual
     # itself.
-    resid_mat = a - np.einsum("k,kij->ij", best_beta, np.stack(bs))
-    u, s, vh = np.linalg.svd(resid_mat, full_matrices=False)
-    if s.size:
-        s = np.where(s < SVD_ZERO_RTOL * s[0], 0.0, s)
-    loadings = u[:, :n_factors] * s[:n_factors]
-    factors = vh[:n_factors].T
+    resid_mat = net_of(a, bs, best_beta)
+    svd = truncated_svd(resid_mat, n_factors)
+    loadings = svd.u * svd.s
+    factors = svd.v
     defactored = resid_mat - loadings @ factors.T
     return FactorFit(
         beta=best_beta,
@@ -234,9 +200,8 @@ def fit_factor_model(
         n_factors=n_factors,
         iterations=iterations,
         converged=converged,
-        objective=float(np.sum(s[n_factors:] ** 2)),
+        objective=svd.residual_norm_sq,
         objective_trace=trace,
-        gram_flagged=flagged,
     )
 
 
@@ -247,16 +212,12 @@ def defactored_regressors(fit: FactorFit, x) -> list[np.ndarray]:
     and factor span (columns) of the flattening swept out — the quantities
     whose Gram matrix scales the factor estimator's sampling variance.
     """
-    xs = _regressor_list(x, fit.residual.shape)
+    xs = regressor_list(x, fit.residual.shape)
 
     def annihilator(mat: np.ndarray) -> np.ndarray:
-        n = mat.shape[0]
-        if mat.shape[1] == 0:
-            return np.eye(n)
-        u, s, _ = np.linalg.svd(mat, full_matrices=False)
-        keep = s > SVD_ZERO_RTOL * s[0] if s.size and s[0] > 0 else np.zeros_like(s, dtype=bool)
-        basis = u[:, keep]
-        return np.eye(n) - basis @ basis.T
+        svd = truncated_svd(mat, mat.shape[1])
+        basis = svd.u[:, svd.s > 0.0]  # the SVD already zeroed the negligible directions
+        return np.eye(mat.shape[0]) - basis @ basis.T
 
     m_load = annihilator(fit.loadings)
     m_fact = annihilator(fit.factors)
@@ -324,8 +285,8 @@ def residual_proxies(residual, ranks, dims=None, *, source: str = "residual-svd"
             raise RankError(f"proxy rank {r} out of range [1, {max_rank}] for dimension {d}")
         if mat.shape[0] < 2:
             raise EstimationError(f"dimension {d} has fewer than 2 units; cannot standardize")
-        u, s, _ = np.linalg.svd(mat, full_matrices=False)
-        cols = u[:, :r] * s[:r]
+        svd = truncated_svd(mat, r)
+        cols = svd.u * svd.s
         sd = cols.std(axis=0, ddof=1)
         if np.any(sd <= 0.0) or not np.all(np.isfinite(sd)):
             raise EstimationError(

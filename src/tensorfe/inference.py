@@ -24,25 +24,23 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EstimationError, RankError, TensorShapeError
-from .tensor_ops import as_tensor, check_dim, flatten, hosvd_truncate, mode_product, vec
-
-
-def _as_regressors(x, shape) -> list[np.ndarray]:
-    xs = [x] if isinstance(x, np.ndarray) and x.shape == tuple(shape) else list(x)
-    out = []
-    for k, xk in enumerate(xs):
-        arr = as_tensor(xk, name=f"regressor {k + 1}")
-        if arr.shape != tuple(shape):
-            raise TensorShapeError(f"regressor {k + 1} has shape {arr.shape}, expected {tuple(shape)}")
-        out.append(arr)
-    if not out:
-        raise TensorShapeError("need at least one regressor")
-    return out
+from .tensor_ops import (
+    as_tensor,
+    check_dim,
+    cross_moments,
+    flatten,
+    hosvd_truncate,
+    mode_product,
+    net_of,
+    regressor_list,
+    solve_gram,
+    truncated_svd,
+)
 
 
 def regressor_low_rank_parts(x, ranks) -> list[np.ndarray]:
     """Per-regressor multilinear low-rank components (HOSVD truncations)."""
-    xs = [x] if isinstance(x, np.ndarray) else list(x)
+    xs = [x] if isinstance(x, np.ndarray) and x.ndim == len(ranks) else list(x)
     return [hosvd_truncate(as_tensor(xk, name=f"regressor {k + 1}"), ranks) for k, xk in enumerate(xs)]
 
 
@@ -84,7 +82,7 @@ def orthogonalize(y, x, beta_tilde, ranks, *, effects=None) -> Orthogonalization
         regressor projections still use ``ranks``.
     """
     y_arr = as_tensor(y, name="outcome", min_order=2)
-    xs = _as_regressors(x, y_arr.shape)
+    xs = regressor_list(x, y_arr.shape)
     bt = np.atleast_1d(np.asarray(beta_tilde, dtype=np.float64))
     if bt.shape != (len(xs),):
         raise TensorShapeError(f"beta_tilde has shape {bt.shape}, expected ({len(xs)},)")
@@ -94,8 +92,7 @@ def orthogonalize(y, x, beta_tilde, ranks, *, effects=None) -> Orthogonalization
 
     gamma_x = regressor_low_rank_parts(xs, ranks)
     if effects is None:
-        prelim_resid = y_arr - sum(b * xk for b, xk in zip(bt, xs))
-        effects = hosvd_truncate(prelim_resid, ranks)
+        effects = hosvd_truncate(net_of(y_arr, xs, bt), ranks)
     else:
         effects = as_tensor(effects, name="effects")
         if effects.shape != y_arr.shape:
@@ -131,23 +128,6 @@ class CorrectedFit:
         return self.residual.size
 
 
-def _solve_cleaned_moments(eta: list[np.ndarray], target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled solve of the cleaned normal equations; returns (beta, omega)."""
-    n_reg = len(eta)
-    n_cells = target.size
-    gram = np.empty((n_reg, n_reg))
-    rhs = np.empty(n_reg)
-    for k in range(n_reg):
-        rhs[k] = np.vdot(eta[k], target)
-        for l in range(k, n_reg):
-            gram[k, l] = gram[l, k] = np.vdot(eta[k], eta[l])
-    if np.linalg.norm(gram) == 0.0 or not np.all(np.isfinite(gram)):
-        raise EstimationError("cleaned regressors are identically zero or non-finite")
-    if np.linalg.cond(gram) > 1e12:
-        raise EstimationError("cleaned regressors are (near-)collinear")
-    return np.linalg.solve(gram, rhs), gram / n_cells
-
-
 def corrected_estimate(
     y, x, beta_tilde=None, ranks=None, *, effects=None, orth: Orthogonalization | None = None
 ) -> CorrectedFit:
@@ -161,16 +141,17 @@ def corrected_estimate(
     at the *corrected* slope and the estimated effects.
     """
     y_arr = as_tensor(y, name="outcome", min_order=2)
-    xs = _as_regressors(x, y_arr.shape)
+    xs = regressor_list(x, y_arr.shape)
     if orth is None:
         if beta_tilde is None or ranks is None:
             raise ValueError("need either a prebuilt orthogonalization or (beta_tilde, ranks)")
         orth = orthogonalize(y_arr, xs, beta_tilde, ranks, effects=effects)
-    beta, omega = _solve_cleaned_moments(orth.eta, y_arr - orth.gamma_y)
-    residual = y_arr - sum(b * xk for b, xk in zip(beta, xs)) - orth.effects
+    gram, rhs = cross_moments(orth.eta, y_arr - orth.gamma_y)
+    beta = solve_gram(gram, rhs, "cleaned regressors")
+    residual = net_of(y_arr, xs, beta) - orth.effects
     return CorrectedFit(
         beta=beta,
-        omega=omega,
+        omega=gram / y_arr.size,
         residual=residual,
         eta=orth.eta,
         beta_tilde=orth.beta_tilde,
@@ -183,26 +164,10 @@ def corrected_estimate(
 # --------------------------------------------------------------------------
 
 
-def _eta_list(eta, shape=None) -> list[np.ndarray]:
-    etas = [eta] if isinstance(eta, np.ndarray) else list(eta)
-    etas = [as_tensor(e, name=f"eta {k + 1}") for k, e in enumerate(etas)]
-    if shape is not None:
-        for k, e in enumerate(etas):
-            if e.shape != tuple(shape):
-                raise TensorShapeError(f"eta {k + 1} has shape {e.shape}, expected {tuple(shape)}")
-    return etas
-
-
-def _omega_inv(eta: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    n_cells = eta[0].size
-    k = len(eta)
-    omega = np.empty((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            omega[a, b] = omega[b, a] = np.vdot(eta[a], eta[b]) / n_cells
-    if not np.all(np.isfinite(omega)) or np.linalg.cond(omega) > 1e12:
-        raise EstimationError("scale matrix of the cleaned regressors is singular")
-    return np.linalg.inv(omega), n_cells
+def _omega_inv(etas: list[np.ndarray]) -> np.ndarray:
+    """Inverse of the scale matrix ``Omega = N^{-1} sum_i eta_i eta_i'``."""
+    omega = cross_moments(etas, etas[0])[0] / etas[0].size
+    return solve_gram(omega, np.eye(len(etas)), "variance-estimate scores")
 
 
 def var_homoskedastic(eta, resid) -> np.ndarray:
@@ -212,10 +177,9 @@ def var_homoskedastic(eta, resid) -> np.ndarray:
     residuals (no degrees-of-freedom correction).
     """
     resid = as_tensor(resid, name="residual")
-    etas = _eta_list(eta, resid.shape)
-    omega_inv, n_cells = _omega_inv(etas)
-    sigma_sq = float(np.vdot(resid, resid)) / n_cells
-    return sigma_sq * omega_inv / n_cells
+    omega_inv = _omega_inv(regressor_list(eta, resid.shape, "eta"))
+    sigma_sq = float(np.vdot(resid, resid)) / resid.size
+    return sigma_sq * omega_inv / resid.size
 
 
 def var_hac(eta, resid, lags) -> np.ndarray:
@@ -229,7 +193,7 @@ def var_hac(eta, resid, lags) -> np.ndarray:
     the heteroskedastic estimator exactly.
     """
     resid = as_tensor(resid, name="residual")
-    etas = _eta_list(eta, resid.shape)
+    etas = regressor_list(eta, resid.shape, "eta")
     lags = tuple(int(l) for l in lags)
     if len(lags) != resid.ndim:
         raise RankError(f"{len(lags)} lags given for an order-{resid.ndim} tensor")
@@ -237,7 +201,8 @@ def var_hac(eta, resid, lags) -> np.ndarray:
         if l < 0 or l >= n:
             raise RankError(f"lag {l} out of range [0, {n - 1}]")
 
-    omega_inv, n_cells = _omega_inv(etas)
+    omega_inv = _omega_inv(etas)
+    n_cells = resid.size
     scores = [e * resid for e in etas]
     k = len(etas)
     meat = np.zeros((k, k))
@@ -383,17 +348,14 @@ def _take(t: np.ndarray, idx, dim: int) -> np.ndarray:
 
 
 def _subspace_projector(mat: np.ndarray, rank: int) -> np.ndarray:
-    u, _, _ = np.linalg.svd(mat, full_matrices=False)
-    basis = u[:, :rank]
+    basis = truncated_svd(mat, rank).u
     return basis @ basis.T
 
 
 def pooled_ols(y, x) -> np.ndarray:
     """Plain pooled OLS slope on vectorized tensors (no transform)."""
     y_arr = as_tensor(y, name="outcome")
-    xs = _as_regressors(x, y_arr.shape)
-    beta, _ = _solve_cleaned_moments(xs, y_arr)
-    return beta
+    return solve_gram(*cross_moments(regressor_list(x, y_arr.shape), y_arr))
 
 
 def corrected_estimate_split(
@@ -414,7 +376,7 @@ def corrected_estimate_split(
     order so autocorrelation-aware variance estimators stay meaningful.
     """
     y_arr = as_tensor(y, name="outcome", min_order=2)
-    xs = _as_regressors(x, y_arr.shape)
+    xs = regressor_list(x, y_arr.shape)
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != y_arr.ndim:
         raise RankError(f"{len(ranks)} ranks given for an order-{y_arr.ndim} tensor")
@@ -435,7 +397,7 @@ def corrected_estimate_split(
         if bt.shape != (n_reg,):
             raise EstimationError(f"preliminary estimator returned shape {bt.shape}, expected ({n_reg},)")
         fold_prelims.append(bt)
-        fit_resid = fit_y - sum(b * xk for b, xk in zip(bt, fit_x))
+        fit_resid = net_of(fit_y, fit_x, bt)
 
         x_projectors = [
             {d: _subspace_projector(flatten(xk, d), ranks[d - 1]) for d in project_dims} for xk in fit_x
@@ -450,20 +412,15 @@ def corrected_estimate_split(
             for d in project_dims:
                 g = mode_product(g, projs[d], d)
             gamma_x.append(g)
-        effects = sub_y - sum(b * xk for b, xk in zip(bt, sub_x))
+        effects = net_of(sub_y, sub_x, bt)
         for d in project_dims:
             effects = mode_product(effects, resid_projectors[d], d)
         gamma_y = sum(b * g for b, g in zip(bt, gamma_x)) + effects
         eta = [xk - g for xk, g in zip(sub_x, gamma_x)]
 
-        target = sub_y - gamma_y
-        for k in range(n_reg):
-            rhs[k] += np.vdot(eta[k], target)
-            for l in range(k, n_reg):
-                inc = np.vdot(eta[k], eta[l])
-                gram[k, l] += inc
-                if l != k:
-                    gram[l, k] += inc
+        fold_gram, fold_rhs = cross_moments(eta, sub_y - gamma_y)
+        gram += fold_gram
+        rhs += fold_rhs
         scatter = [slice(None)] * y_arr.ndim
         scatter[split_dim - 1] = np.asarray(apply_idx, dtype=np.intp)
         scatter = tuple(scatter)
@@ -471,14 +428,11 @@ def corrected_estimate_split(
             eta_full[k][scatter] = eta[k]
         effects_full[scatter] = effects
 
-    if np.linalg.norm(gram) == 0.0 or np.linalg.cond(gram) > 1e12:
-        raise EstimationError("cleaned regressors are (near-)collinear after cross-fitting")
-    beta = np.linalg.solve(gram, rhs)
-    omega = gram / y_arr.size
-    residual = y_arr - sum(b * xk for b, xk in zip(beta, xs)) - effects_full
+    beta = solve_gram(gram, rhs, "cross-fitted cleaned regressors")
+    residual = net_of(y_arr, xs, beta) - effects_full
     return CorrectedFit(
         beta=beta,
-        omega=omega,
+        omega=gram / y_arr.size,
         residual=residual,
         eta=eta_full,
         beta_tilde=np.mean(fold_prelims, axis=0),

@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, EstimationError, RankError, TensorShapeError
+from .errors import DegenerateWeightsError, RankError, TensorShapeError
 from .factor import ProxySet
-from .tensor_ops import as_tensor, check_dim, mode_product, vec
+from .inference import pooled_ols
+from .tensor_ops import as_tensor, check_dim, mode_product, net_of, regressor_list, truncated_svd
 
 KERNEL_FAMILIES = ("gaussian", "indicator")
 PROJECTION_VARIANTS = ("plain", "optimal")
 COLUMN_SPACE_RTOL = 1e-10
-DESIGN_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -187,12 +187,15 @@ def within_projections(weight_set: WeightSet, variant: str = "plain") -> Project
     """Turn weight matrices into within-transform matrices.
 
     ``plain`` subtracts the weighted neighbourhood average: ``I - W``.
-    ``optimal`` removes the whole column space of ``W`` (the projector uses
-    the left singular vectors of ``W`` above ``1e-10`` of its top singular
-    value), which is idempotent and annihilates anything the weights can
-    express — including the plain transform's target.  When ``W`` has full
-    column rank this leaves the zero map, faithfully signalling that the
-    weights carry no usable within-variation.
+    ``optimal`` removes the whole column space of ``W``: it projects onto the
+    left singular vectors of ``W`` whose singular values fall at or below
+    ``1e-10`` of the top one, ``U_perp @ U_perp.T``.  That is idempotent and
+    annihilates anything the weights can express — including the plain
+    transform's target.  When ``W`` has full rank the projector is exactly
+    the zero map, so the transformed data are exactly zero and
+    :func:`kernel_fe_estimate` raises
+    :class:`~tensorfe.errors.EstimationError` instead of fitting rounding
+    noise.
     """
     if variant not in PROJECTION_VARIANTS:
         raise ValueError(f"unknown projection variant {variant!r}; choose from {PROJECTION_VARIANTS}")
@@ -202,10 +205,9 @@ def within_projections(weight_set: WeightSet, variant: str = "plain") -> Project
         if variant == "plain":
             mats[d] = np.eye(n) - w
         else:
-            u, s, _ = np.linalg.svd(w)
-            keep = s > COLUMN_SPACE_RTOL * s[0] if s.size and s[0] > 0 else np.zeros(0, dtype=bool)
-            basis = u[:, : int(np.sum(keep))]
-            mats[d] = np.eye(n) - basis @ basis.T
+            svd = truncated_svd(w, n)
+            perp = svd.u[:, np.sum(svd.s > COLUMN_SPACE_RTOL * svd.s[0]) :]
+            mats[d] = perp @ perp.T
     return ProjectionSet(mats=mats, variant=variant)
 
 
@@ -246,16 +248,6 @@ def standard_within(t, dims=None) -> np.ndarray:
     return out
 
 
-def _pooled_ols(y_t: np.ndarray, x_t: list[np.ndarray], context: str) -> np.ndarray:
-    z = np.column_stack([vec(xk) for xk in x_t])
-    gram = z.T @ z
-    if np.linalg.norm(gram) == 0.0:
-        raise EstimationError(f"{context}: transformed regressors are identically zero")
-    if np.linalg.cond(gram) > DESIGN_COND_LIMIT:
-        raise EstimationError(f"{context}: transformed regressors are (near-)collinear")
-    return np.linalg.solve(gram, z.T @ vec(y_t))
-
-
 @dataclass
 class KernelFeFit:
     """Pooled OLS on kernel-within-transformed data."""
@@ -268,10 +260,7 @@ class KernelFeFit:
 
     @property
     def residual(self) -> np.ndarray:
-        out = self.y_within.copy()
-        for bk, xk in zip(self.beta, self.x_within):
-            out -= bk * xk
-        return out
+        return net_of(self.y_within, self.x_within, self.beta)
 
 
 def kernel_fe_estimate(y, x, projections: ProjectionSet, *, weight_set: WeightSet | None = None) -> KernelFeFit:
@@ -282,14 +271,10 @@ def kernel_fe_estimate(y, x, projections: ProjectionSet, *, weight_set: WeightSe
     into the fit.
     """
     y_arr = as_tensor(y, name="outcome", min_order=2)
-    xs = x if isinstance(x, (list, tuple)) else [x]
-    xs = [as_tensor(xk, name=f"regressor {k + 1}") for k, xk in enumerate(xs)]
-    for k, xk in enumerate(xs):
-        if xk.shape != y_arr.shape:
-            raise TensorShapeError(f"regressor {k + 1} has shape {xk.shape}, expected {y_arr.shape}")
+    xs = regressor_list(x, y_arr.shape)
     y_t = weighted_within(y_arr, projections)
     x_t = [weighted_within(xk, projections) for xk in xs]
-    beta = _pooled_ols(y_t, x_t, "kernel within estimate")
+    beta = pooled_ols(y_t, x_t)
     return KernelFeFit(
         beta=beta,
         y_within=y_t,
@@ -327,11 +312,7 @@ def iterative_kernel_fe(y, x, proxies, spec: KernelSpec, dims=None) -> Iterative
     exactly.
     """
     y_arr = as_tensor(y, name="outcome", min_order=2)
-    xs = x if isinstance(x, (list, tuple)) else [x]
-    xs = [as_tensor(xk, name=f"regressor {k + 1}") for k, xk in enumerate(xs)]
-    for k, xk in enumerate(xs):
-        if xk.shape != y_arr.shape:
-            raise TensorShapeError(f"regressor {k + 1} has shape {xk.shape}, expected {y_arr.shape}")
+    xs = regressor_list(x, y_arr.shape)
 
     columns = proxies.columns if isinstance(proxies, ProxySet) else dict(proxies)
     if dims is not None:
@@ -366,7 +347,7 @@ def iterative_kernel_fe(y, x, proxies, spec: KernelSpec, dims=None) -> Iterative
     projections = ProjectionSet(mats=composed, variant="plain")
     y_t = weighted_within(y_arr, projections)
     x_t = [weighted_within(xk, projections) for xk in xs]
-    beta = _pooled_ols(y_t, x_t, "iterative kernel within estimate")
+    beta = pooled_ols(y_t, x_t)
     return IterativeKernelFit(
         beta=beta,
         y_within=y_t,

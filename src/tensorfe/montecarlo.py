@@ -44,6 +44,7 @@ from .kernel_fe import (
     standard_within,
     within_projections,
 )
+from .tensor_ops import as_tensor, net_of, regressor_list
 
 ESTIMATOR_KINDS = ("ols", "within", "factor", "ker", "ik", "ic")
 EFFECTS_MODES = ("hosvd", "kernel")
@@ -193,13 +194,6 @@ def _compute_vcov(spec: EstimatorSpec, eta, resid) -> np.ndarray:
     return var_hac(eta, resid, _resolve_lags(spec.lags, resid.shape))
 
 
-def _fit_residual(y_t: np.ndarray, x_t: list[np.ndarray], beta: np.ndarray) -> np.ndarray:
-    out = y_t.copy()
-    for b, xk in zip(beta, x_t):
-        out -= b * xk
-    return out
-
-
 class _PanelWorkspace:
     """Lazily computed, shared intermediates for one panel."""
 
@@ -223,7 +217,7 @@ class _PanelWorkspace:
         key = (proxy_ranks, n_factors, prelim_dim)
         if key not in self._proxies:
             prelim = self.factor_fit(prelim_dim, n_factors)
-            resid = _fit_residual(self.outcome, self.regressors, prelim.beta)
+            resid = net_of(self.outcome, self.regressors, prelim.beta)
             self._proxies[key] = residual_proxies(resid, proxy_ranks)
         return self._proxies[key]
 
@@ -241,81 +235,71 @@ class _PanelWorkspace:
         return self._kernel_fits[key]
 
 
-def _kernel_prelim(spec: EstimatorSpec):
-    """Kernel-within pipeline as a standalone preliminary estimator.
-
-    Used by the cross-fitted corrected estimator, which must re-estimate the
-    preliminary slope inside each complement fold.
-    """
-
-    def prelim(y_sub: np.ndarray, x_sub: list[np.ndarray]) -> np.ndarray:
-        fit = fit_factor_model(y_sub, x_sub, spec.prelim_dim, spec.n_factors)
-        proxies = residual_proxies(_fit_residual(y_sub, x_sub, fit.beta), spec.resolved_proxy_ranks)
-        kspec = KernelSpec(family=spec.kernel, bandwidth=spec.bandwidth)
-        projections = within_projections(kernel_weights(proxies, kspec), "plain")
-        return kernel_fe_estimate(y_sub, x_sub, projections).beta
-
-    return prelim
-
-
 def _point_estimate(spec: EstimatorSpec, ws: _PanelWorkspace):
     """Run one estimator on the workspace's panel.
 
     Returns ``(beta, eta, resid, converged, diagnostics)`` where ``eta`` are
     the tensors whose cross-moments scale the sandwich variance and ``resid``
-    the matching residual tensor.
+    the matching residual tensor.  For the kernel-based kinds ``converged``
+    reports the preliminary factor fits: the panel's own, or every fold's
+    when the corrected estimator is cross-fitted.
     """
     y, xs = ws.outcome, ws.regressors
     if spec.kind == "ols":
         beta = pooled_ols(y, xs)
-        return beta, xs, _fit_residual(y, xs, beta), True, {}
+        return beta, xs, net_of(y, xs, beta), True, {}
     if spec.kind == "within":
         y_t = standard_within(y)
         x_t = [standard_within(xk) for xk in xs]
         beta = pooled_ols(y_t, x_t)
-        return beta, x_t, _fit_residual(y_t, x_t, beta), True, {}
+        return beta, x_t, net_of(y_t, x_t, beta), True, {}
     if spec.kind == "factor":
         fit = ws.factor_fit(spec.flatten_dim, spec.n_factors)
-        diag = {
-            "iterations": fit.iterations,
-            "objective": fit.objective,
-            "gram_flagged": fit.gram_flagged,
-        }
+        diag = {"iterations": fit.iterations, "objective": fit.objective}
         return fit.beta, defactored_regressors(fit, xs), fit.residual, fit.converged, diag
-    prelim_converged = ws.factor_fit(spec.prelim_dim, spec.n_factors).converged
+    fold_converged: list[bool] = []
     if spec.kind == "ker":
         fit = ws.kernel_fit(spec)
         diag = {"degenerate_rows": {d: len(v) for d, v in fit.degenerate_rows.items()}}
-        return fit.beta, fit.x_within, fit.residual, prelim_converged, diag
-    if spec.kind == "ik":
+        eta, resid = fit.x_within, fit.residual
+    elif spec.kind == "ik":
         proxies = ws.proxies(spec.resolved_proxy_ranks, spec.n_factors, spec.prelim_dim)
         kspec = KernelSpec(family=spec.kernel, bandwidth=spec.bandwidth)
         fit = iterative_kernel_fe(y, xs, proxies, kspec)
-        resid = _fit_residual(fit.y_within, fit.x_within, fit.beta)
         diag = {"degenerate_rows": {f"{d}.{m}": len(v) for (d, m), v in fit.degenerate_rows.items()}}
-        return fit.beta, fit.x_within, resid, prelim_converged, diag
-    # corrected estimator
-    ranks = spec.ranks if spec.ranks is not None else (spec.n_factors,) * y.ndim
-    if len(ranks) == 1 and y.ndim > 1:
-        ranks = ranks * y.ndim
-    if spec.split:
-        split_dim = spec.split_dim if spec.split_dim is not None else y.ndim
-        plan = crossfit_split(y.shape, split_dim, seed=ws.round_index)
-        fit = corrected_estimate_split(y, xs, ranks, plan, prelim=_kernel_prelim(spec))
-        diag = {"split_dim": split_dim, "fold_sizes": [len(f) for f in plan.folds]}
-    else:
-        prelim_fit = ws.kernel_fit(replace(spec, projection="plain"))
-        effects = None
-        if spec.effects == "kernel":
-            prelim_resid = _fit_residual(y, xs, prelim_fit.beta)
-            effects = smoothed_effects(prelim_resid, prelim_fit.projections)
-        fit = corrected_estimate(y, xs, prelim_fit.beta, ranks, effects=effects)
-        diag = {
-            "beta_tilde": [float(b) for b in fit.beta_tilde],
-            "ranks": list(ranks),
-            "effects": spec.effects,
-        }
-    return fit.beta, fit.eta, fit.residual, prelim_converged, diag
+        eta, resid = fit.x_within, net_of(fit.y_within, fit.x_within, fit.beta)
+    else:  # corrected estimator
+        ranks = spec.ranks if spec.ranks is not None else (spec.n_factors,) * y.ndim
+        if len(ranks) == 1 and y.ndim > 1:
+            ranks = ranks * y.ndim
+        plain = replace(spec, projection="plain")
+        if spec.split:
+            split_dim = spec.split_dim if spec.split_dim is not None else y.ndim
+            plan = crossfit_split(y.shape, split_dim, seed=ws.round_index)
+
+            def prelim(y_fold: np.ndarray, x_fold: list[np.ndarray]) -> np.ndarray:
+                fold = _PanelWorkspace(y_fold, x_fold)
+                beta = fold.kernel_fit(plain).beta
+                fold_converged.append(fold.factor_fit(spec.prelim_dim, spec.n_factors).converged)
+                return beta
+
+            fit = corrected_estimate_split(y, xs, ranks, plan, prelim=prelim)
+            diag = {"split_dim": split_dim, "fold_sizes": [len(f) for f in plan.folds]}
+        else:
+            prelim_fit = ws.kernel_fit(plain)
+            effects = None
+            if spec.effects == "kernel":
+                effects = smoothed_effects(net_of(y, xs, prelim_fit.beta), prelim_fit.projections)
+            fit = corrected_estimate(y, xs, prelim_fit.beta, ranks, effects=effects)
+            diag = {
+                "beta_tilde": [float(b) for b in fit.beta_tilde],
+                "ranks": list(ranks),
+                "effects": spec.effects,
+            }
+        eta, resid = fit.eta, fit.residual
+    if not fold_converged:  # not cross-fitted: the panel's own preliminary fit
+        fold_converged.append(ws.factor_fit(spec.prelim_dim, spec.n_factors).converged)
+    return fit.beta, eta, resid, all(fold_converged), diag
 
 
 def estimate_panel(y, x, spec: EstimatorSpec):
@@ -324,8 +308,8 @@ def estimate_panel(y, x, spec: EstimatorSpec):
     This is the CLI's entry into the estimator battery; domain errors
     propagate to the caller instead of being folded into a record.
     """
-    xs = [x] if isinstance(x, np.ndarray) else list(x)
-    ws = _PanelWorkspace(np.asarray(y, dtype=np.float64), [np.asarray(xk, dtype=np.float64) for xk in xs])
+    y_arr = as_tensor(y, name="outcome", min_order=2)
+    ws = _PanelWorkspace(y_arr, regressor_list(x, y_arr.shape))
     beta, eta, resid, converged, diag = _point_estimate(spec, ws)
     vcov = _compute_vcov(spec, eta, resid)
     diagnostics = dict(diag)

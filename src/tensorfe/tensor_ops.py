@@ -1,4 +1,4 @@
-"""Dense tensor primitives: flattening, mode products, CP/Tucker helpers.
+"""Dense tensor primitives and the package's one linear-algebra core.
 
 Conventions (frozen; every routine in the package relies on them):
 
@@ -11,6 +11,19 @@ Conventions (frozen; every routine in the package relies on them):
 
 Singular values below ``1e-12`` times the largest one are treated as exact
 zeros wherever a decomposition is computed.
+
+Every estimator is built from four shared steps, each done in one place:
+
+* :func:`truncated_svd` is the only thin SVD with singular vectors (leading
+  subspaces of flattenings, loadings, proxies, projectors);
+* :func:`cross_moments` builds the ``K x K`` normal equations and
+  :func:`solve_gram` solves them under one conditioning policy: it raises
+  :class:`~tensorfe.errors.EstimationError` when the Gram matrix is zero,
+  non-finite, or has a condition number above ``GRAM_COND_LIMIT`` (10**12);
+  no estimator falls back to a pseudo-inverse;
+* :func:`regressor_list` normalizes a regressor argument (one tensor, a
+  list or tuple of tensors, or tensors stacked along a leading axis);
+* :func:`net_of` forms the residual ``y - sum_k beta[k] * x[k]``.
 """
 
 from __future__ import annotations
@@ -19,9 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RankError, TensorShapeError
+from .errors import EstimationError, RankError, TensorShapeError
 
 SVD_ZERO_RTOL = 1e-12
+GRAM_COND_LIMIT = 1e12
 
 
 def as_tensor(t, name: str = "tensor", min_order: int = 1) -> np.ndarray:
@@ -186,11 +200,6 @@ def truncated_svd(m, k: int) -> TruncatedSvd:
     return TruncatedSvd(u=u[:, :k], s=s[:k], v=vh[:k].T, tail=s[k:])
 
 
-def _leading_left_vectors(mat: np.ndarray, k: int) -> np.ndarray:
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    return u[:, :k]
-
-
 @dataclass
 class Hosvd:
     """Higher-order SVD: orthonormal mode bases plus the projected core."""
@@ -225,10 +234,11 @@ def hosvd(t, ranks) -> Hosvd:
     """
     arr = as_tensor(t)
     ranks = _check_ranks(ranks, arr.shape)
-    bases = [_leading_left_vectors(flatten(arr, n + 1), r) for n, r in enumerate(ranks)]
-    core = arr
-    for n, basis in enumerate(bases):
-        core = mode_product(core, basis.T, n + 1)
+    bases, core = [], arr
+    for n, r in enumerate(ranks):
+        mat = flatten(arr, n + 1)  # a flattening narrower than r keeps all its vectors
+        bases.append(truncated_svd(mat, min(r, mat.shape[1])).u)
+        core = mode_product(core, bases[-1].T, n + 1)
     return Hosvd(core=core, bases=bases, ranks=ranks)
 
 
@@ -247,7 +257,8 @@ def hosvd_truncate(t, ranks) -> np.ndarray:
     for n, r in enumerate(ranks):
         if r == arr.shape[n]:
             continue  # projection onto a full basis is the identity
-        basis = _leading_left_vectors(flatten(arr, n + 1), r)
+        mat = flatten(arr, n + 1)
+        basis = truncated_svd(mat, min(r, mat.shape[1])).u
         out = mode_product(out, basis @ basis.T, n + 1)
     return out
 
@@ -275,3 +286,48 @@ def multilinear_rank(t, rel_tol: float = 1e-8) -> MultilinearRank:
         top = s[0] if s.size else 0.0
         ranks.append(0 if top == 0.0 else int(np.sum(s > rel_tol * top)))
     return MultilinearRank(ranks=tuple(ranks), spectra=spectra)
+
+
+def regressor_list(x, shape, name: str = "regressor") -> list[np.ndarray]:
+    """Normalize a regressor argument to a non-empty list of tensors of ``shape``.
+
+    One array of exactly ``shape`` is a single regressor; anything else (a
+    list, a tuple, or an array stacked along a leading axis) is iterated.
+    """
+    shape = tuple(shape)
+    xs = [x] if isinstance(x, np.ndarray) and x.shape == shape else list(x)
+    out = [as_tensor(xk, name=f"{name} {k + 1}") for k, xk in enumerate(xs)]
+    for k, xk in enumerate(out):
+        if xk.shape != shape:
+            raise TensorShapeError(f"{name} {k + 1} has shape {xk.shape}, expected {shape}")
+    if not out:
+        raise TensorShapeError(f"need at least one {name}")
+    return out
+
+
+def net_of(y, xs, beta) -> np.ndarray:
+    """Residual ``y - sum_k beta[k] * xs[k]``: the fitted part is summed, then subtracted once."""
+    return y - sum(b * xk for b, xk in zip(beta, xs))
+
+
+def cross_moments(xs, target) -> tuple[np.ndarray, np.ndarray]:
+    """Normal equations of ``target`` on ``xs``: the Gram matrix and right-hand side."""
+    n_reg = len(xs)
+    gram = np.empty((n_reg, n_reg))
+    for k in range(n_reg):
+        for l in range(k, n_reg):
+            gram[k, l] = gram[l, k] = np.vdot(xs[k], xs[l])
+    return gram, np.array([np.vdot(xk, target) for xk in xs])
+
+
+def solve_gram(gram, rhs, what: str = "regressors") -> np.ndarray:
+    """Solve ``gram @ beta = rhs`` under the one conditioning policy.
+
+    Raises :class:`EstimationError` naming ``what`` when the Gram matrix is
+    zero, non-finite, or has a condition number above ``GRAM_COND_LIMIT``.
+    """
+    if not np.all(np.isfinite(gram)) or not np.any(gram):
+        raise EstimationError(f"{what} are identically zero or non-finite")
+    if np.linalg.cond(gram) > GRAM_COND_LIMIT:
+        raise EstimationError(f"{what} are (near-)collinear")
+    return np.linalg.solve(gram, rhs)

@@ -37,6 +37,9 @@ def pytest_addoption(parser):
 
 
 def pytest_collection_modifyitems(config, items):
+    # Run the Monte-Carlo batteries last (a stable sort keeps every other
+    # order), so a run cut short by a time limit still reaches the unit tests.
+    items.sort(key=lambda item: "slow" in item.keywords)
     if not config.getoption("--skip-slow"):
         return
     marker = pytest.mark.skip(reason="--skip-slow given")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from tensorfe.errors import DegenerateWeightsError
+from tensorfe.errors import DegenerateWeightsError, EstimationError
 from tensorfe.factor import ProxySet, residual_proxies
 from tensorfe.kernel_fe import (
     KernelSpec,
@@ -208,6 +208,18 @@ def test_uniform_weights_give_demeaning_projector():
     n = 6
     pj = within_projections(manual_weight_set(np.full((n, n), 1.0 / n)), "optimal")
     assert_allclose(pj.for_dim(1), np.eye(n) - 1.0 / n, atol=1e-10)
+
+
+def test_full_rank_weights_make_the_optimal_estimate_raise(rng):
+    """Full-rank weights leave no within-variation: exactly zero data, no estimate from rounding noise."""
+    proxies = scalar_proxies(0.0, 1.0, 2.0, 3.0, 4.0)
+    weights = kernel_weights(proxies, KernelSpec(bandwidth=1.0))
+    assert np.linalg.matrix_rank(weights.for_dim(1)) == 5
+    pj = within_projections(weights, "optimal")
+    assert not np.any(pj.for_dim(1))
+    y = rng.standard_normal((5, 4, 3))
+    with pytest.raises(EstimationError):
+        kernel_fe_estimate(y, [rng.standard_normal((5, 4, 3))], pj)
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from tensorfe import montecarlo
 from tensorfe.dgp import DgpConfig, draw
+from tensorfe.errors import EstimationError
 from tensorfe.factor import fit_factor_model, residual_proxies
 from tensorfe.inference import pooled_ols
 from tensorfe.kernel_fe import KernelSpec, kernel_fe_estimate, kernel_weights, within_projections
@@ -195,6 +197,43 @@ def test_estimate_panel_honors_variance_model():
     assert hac.variance_model == "hac"
     assert homo.se[0] != hac.se[0]
     assert_array_equal(homo.beta, hac.beta)
+
+
+def test_optimal_projection_with_full_rank_weights_raises():
+    panel = draw(DgpConfig(dims=(30, 30, 30)), np.random.SeedSequence([0]))
+    spec = EstimatorSpec("keropt", "ker", projection="optimal", bandwidth=1.0)
+    with pytest.raises(EstimationError):
+        estimate_panel(panel.outcome, panel.regressors, spec)
+
+
+def counting_factor_fits(monkeypatch, full_shape, fold_max_iter=None):
+    """Count ``fit_factor_model`` calls; optionally cap iterations on sub-panel (fold) fits."""
+    calls = []
+    original = montecarlo.fit_factor_model
+
+    def counted(y, x, *args, **kwargs):
+        calls.append(np.shape(y))
+        if fold_max_iter is not None and np.shape(y) != full_shape:
+            kwargs["max_iter"] = fold_max_iter
+        return original(y, x, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "fit_factor_model", counted)
+    return calls
+
+
+def test_split_estimate_fits_factors_only_inside_the_folds(monkeypatch):
+    panel = draw(DgpConfig(dims=(10, 10, 12)), np.random.SeedSequence([8]))
+    calls = counting_factor_fits(monkeypatch, panel.outcome.shape)
+    report = estimate_panel(panel.outcome, panel.regressors, EstimatorSpec("ics", "ic", bandwidth=1.0, split=True))
+    assert calls == [(10, 10, 6), (10, 10, 6)]
+    assert report.diagnostics["converged"] is True
+
+
+def test_split_estimate_reports_fold_convergence(monkeypatch):
+    panel = draw(DgpConfig(dims=(10, 10, 12)), np.random.SeedSequence([8]))
+    counting_factor_fits(monkeypatch, panel.outcome.shape, fold_max_iter=1)
+    report = estimate_panel(panel.outcome, panel.regressors, EstimatorSpec("ics", "ic", bandwidth=1.0, split=True))
+    assert report.diagnostics["converged"] is False
 
 
 def test_single_entry_proxy_ranks_broadcast():

@@ -218,6 +218,12 @@ def test_hosvd_truncate_full_ranks_is_identity():
     assert_allclose(hosvd_truncate(t, (3, 4, 2)), t, atol=1e-12)
 
 
+def test_rank_above_a_narrow_flattening_keeps_every_vector():
+    t = np.random.default_rng(43).standard_normal((6, 2, 1))  # dimension 1 flattens to 6 x 2
+    assert_allclose(hosvd_truncate(t, (4, 2, 1)), t, atol=1e-12)
+    assert_allclose(hosvd(t, (4, 2, 1)).compose(), t, atol=1e-12)
+
+
 def test_flatten_rejects_out_of_range_dim():
     with pytest.raises(RankError):
         flatten(np.zeros((2, 2)), 3)
