@@ -169,7 +169,8 @@ def fit_factor_model(
         t_b = [basis.T @ bk for bk in bs]
         proj_resid = net_of(t_a, t_b, beta)
         low_rank_part = np.array([np.vdot(t_b[k], proj_resid) for k in range(n_reg)])
-        new_beta = solve_gram(gram, rhs - low_rank_part)
+        # The Gram matrix is constant and passed the policy in the first solve.
+        new_beta = np.linalg.solve(gram, rhs - low_rank_part)
         delta = np.linalg.norm(new_beta - beta)
         scale = max(np.linalg.norm(beta), 1.0)
         beta = new_beta
@@ -211,19 +212,22 @@ def defactored_regressors(fit: FactorFit, x) -> list[np.ndarray]:
     Returns the regressor tensors with both the estimated loading span (rows)
     and factor span (columns) of the flattening swept out — the quantities
     whose Gram matrix scales the factor estimator's sampling variance.
+    Thin products with orthonormal span bases, ``X - B_l (B_l' X)`` then ``X - (X B_f) B_f'``,
+    need ``O(cells * r)`` time and ``O(cells)`` memory: no ``M x M`` annihilator is formed.
     """
     xs = regressor_list(x, fit.residual.shape)
 
-    def annihilator(mat: np.ndarray) -> np.ndarray:
+    def span_basis(mat: np.ndarray) -> np.ndarray:
         svd = truncated_svd(mat, mat.shape[1])
-        basis = svd.u[:, svd.s > 0.0]  # the SVD already zeroed the negligible directions
-        return np.eye(mat.shape[0]) - basis @ basis.T
+        return svd.u[:, svd.s > 0.0]  # the SVD already zeroed the negligible directions
 
-    m_load = annihilator(fit.loadings)
-    m_fact = annihilator(fit.factors)
+    b_load = span_basis(fit.loadings)
+    b_fact = span_basis(fit.factors)
     out = []
     for xk in xs:
-        mat = m_load @ flatten(xk, fit.flatten_dim) @ m_fact
+        mat = flatten(xk, fit.flatten_dim)
+        mat = mat - b_load @ (b_load.T @ mat)
+        mat = mat - (mat @ b_fact) @ b_fact.T
         out.append(unflatten(mat, fit.flatten_dim, fit.residual.shape))
     return out
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, RankError, TensorShapeError
+from .errors import DegenerateWeightsError, EstimationError, RankError, TensorShapeError
 from .factor import ProxySet
 from .inference import pooled_ols
 from .tensor_ops import as_tensor, check_dim, mode_product, net_of, regressor_list, truncated_svd
@@ -192,10 +192,9 @@ def within_projections(weight_set: WeightSet, variant: str = "plain") -> Project
     ``1e-10`` of the top one, ``U_perp @ U_perp.T``.  That is idempotent and
     annihilates anything the weights can express — including the plain
     transform's target.  When ``W`` has full rank the projector is exactly
-    the zero map, so the transformed data are exactly zero and
-    :func:`kernel_fe_estimate` raises
-    :class:`~tensorfe.errors.EstimationError` instead of fitting rounding
-    noise.
+    the zero map, and :func:`kernel_fe_estimate` raises
+    :class:`~tensorfe.errors.EstimationError` naming that dimension instead
+    of fitting rounding noise.
     """
     if variant not in PROJECTION_VARIANTS:
         raise ValueError(f"unknown projection variant {variant!r}; choose from {PROJECTION_VARIANTS}")
@@ -272,6 +271,9 @@ def kernel_fe_estimate(y, x, projections: ProjectionSet, *, weight_set: WeightSe
     """
     y_arr = as_tensor(y, name="outcome", min_order=2)
     xs = regressor_list(x, y_arr.shape)
+    for d in projections.dims:
+        if projections.variant == "optimal" and not np.any(projections.mats[d]):
+            raise EstimationError(f"the optimal projection removes all data: dimension {d}'s kernel weights have full rank")
     y_t = weighted_within(y_arr, projections)
     x_t = [weighted_within(xk, projections) for xk in xs]
     beta = pooled_ols(y_t, x_t)

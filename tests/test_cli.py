@@ -139,6 +139,17 @@ def test_split_requires_the_corrected_method(panel_csv, capsys):
     assert "split" in capsys.readouterr().err
 
 
+def test_keropt_with_full_rank_weights_names_the_projection(tmp_path, capsys):
+    panel = draw(DgpConfig(dims=(12, 10, 8)), np.random.SeedSequence([21]))
+    path = tmp_path / "panel.csv"
+    write_panel_csv(path, panel.outcome, panel.regressors, dim_names=INDEX, x_names=["x1"])
+    code = main(estimate_args(path, "--method", "keropt", "--bandwidth", "1.0"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "optimal projection" in err
+    assert "dimension 1's kernel weights have full rank" in err
+
+
 def test_diagnose_reports_residual_spectra(panel_csv, tmp_path, capsys):
     path, panel = panel_csv
     out = tmp_path / "diag.json"

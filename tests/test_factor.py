@@ -1,17 +1,20 @@
 """Alternating least squares with low-rank confounders, plus proxy extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from tensorfe.errors import EstimationError
 from tensorfe.factor import (
+    FactorFit,
     defactored_regressors,
     fit_factor_model,
     low_rank_effects,
     residual_proxies,
 )
-from tensorfe.tensor_ops import cp_compose, flatten
+from tensorfe.tensor_ops import cp_compose, flatten, unflatten
 
 BETA = (1.0, -0.5)
 
@@ -84,6 +87,65 @@ def test_defactored_regressors_are_annihilated():
         m = flatten(xd, 1)
         assert_allclose(fit.loadings.T @ m, 0.0, atol=1e-8)
         assert_allclose(m @ fit.factors, 0.0, atol=1e-8)
+
+
+def known_span_fit(rng, shape, dim, n_factors=2, loading_rank=2):
+    """A FactorFit whose loading and factor spans have known orthonormal bases.
+
+    ``loading_rank < n_factors`` makes the loading matrix rank-deficient.
+    """
+    n = shape[dim - 1]
+    m = int(np.prod(shape)) // n
+    q_load = np.linalg.qr(rng.standard_normal((n, loading_rank)))[0]
+    q_fact = np.linalg.qr(rng.standard_normal((m, n_factors)))[0]
+    fit = FactorFit(
+        beta=np.zeros(1),
+        loadings=q_load @ rng.standard_normal((loading_rank, n_factors)),
+        factors=q_fact,
+        residual=np.zeros(shape),
+        flatten_dim=dim,
+        n_factors=n_factors,
+        iterations=0,
+        converged=True,
+        objective=0.0,
+    )
+    return fit, q_load, q_fact
+
+
+@pytest.mark.parametrize(
+    "shape, dim",
+    [((7, 6, 5), d) for d in (1, 2, 3)] + [((5, 4, 3, 3), d) for d in (1, 2, 3, 4)],
+)
+@pytest.mark.parametrize("n_reg", [1, 2])
+@pytest.mark.parametrize("loading_rank", [2, 1])
+def test_defactored_regressors_match_dense_annihilators(shape, dim, n_reg, loading_rank):
+    rng = np.random.default_rng(60 + dim)
+    fit, q_load, q_fact = known_span_fit(rng, shape, dim, loading_rank=loading_rank)
+    xs = [rng.standard_normal(shape) for _ in range(n_reg)]
+    m_load = np.eye(q_load.shape[0]) - q_load @ q_load.T
+    m_fact = np.eye(q_fact.shape[0]) - q_fact @ q_fact.T
+    for xk, xd in zip(xs, defactored_regressors(fit, xs)):
+        expected = unflatten(m_load @ flatten(xk, dim) @ m_fact, dim, shape)
+        assert_allclose(xd, expected, rtol=0.0, atol=1e-12)
+
+
+def test_defactoring_memory_is_linear_in_the_cells():
+    """A 6 x 80 x 50 panel flattened on dimension 1 has M = 4000 columns.
+
+    One dense M x M annihilator would take 128 MB; the thin products must
+    stay within a few copies of the regressor.
+    """
+    rng = np.random.default_rng(70)
+    shape = (6, 80, 50)
+    fit, _, _ = known_span_fit(rng, shape, 1)
+    x = rng.standard_normal(shape)
+    tracemalloc.start()
+    try:
+        defactored_regressors(fit, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * x.nbytes
 
 
 def test_proxies_span_rank_one_direction():

@@ -189,8 +189,11 @@ def test_homoskedastic_orthonormal_scores_give_identity_over_n():
     assert_allclose(vcov * n, np.eye(2), atol=0.1)  # sigma^2 near 1
 
 
-def brute_force_hac(etas, resid, lags):
-    """O(N^2) pairwise oracle for the tapered cross-moment matrix."""
+def brute_force_hac(etas, resid, lags, clip=True):
+    """O(N^2) pairwise oracle for the tapered cross-moment matrix.
+
+    ``clip=False`` skips the eigenvalue clip, giving the raw sandwich.
+    """
     shape = resid.shape
     k = len(etas)
     scores = [e * resid for e in etas]
@@ -210,7 +213,7 @@ def brute_force_hac(etas, resid, lags):
     meat /= n
     meat = 0.5 * (meat + meat.T)
     evals, evecs = np.linalg.eigh(meat)
-    if evals[0] < 0:
+    if clip and evals[0] < 0:
         meat = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
     z = np.stack([e.ravel() for e in etas], axis=1)
     omega_inv = np.linalg.inv(z.T @ z / n)
@@ -224,6 +227,41 @@ def test_hac_matches_pairwise_oracle():
     resid = rng.standard_normal(shape)
     for lags in [(0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 1, 0)]:
         assert_allclose(var_hac(etas, resid, lags), brute_force_hac(etas, resid, lags), atol=1e-13)
+
+
+def assert_close_in_norm(actual, expected, rtol):
+    assert np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize(
+    "shape, lags",
+    [
+        ((6, 5), (0, 4)),
+        ((6, 5), (5, 1)),
+        ((4, 3, 3), (3, 1, 0)),
+        ((4, 3, 3), (1, 2, 2)),
+        ((3, 3, 2, 2), (2, 0, 1, 1)),
+        ((3, 3, 2, 2), (0, 1, 0, 0)),
+    ],
+)
+@pytest.mark.parametrize("n_reg", [1, 3])
+def test_separable_hac_matches_pairwise_oracle(shape, lags, n_reg):
+    rng = np.random.default_rng(sum(shape) + sum(lags) + n_reg)
+    etas = [rng.standard_normal(shape) for _ in range(n_reg)]
+    resid = rng.standard_normal(shape)
+    assert_close_in_norm(var_hac(etas, resid, lags), brute_force_hac(etas, resid, lags), 1e-12)
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=20)
+def test_hac_clip_removes_only_rounding(seed):
+    """The tapered middle matrix is PSD in exact arithmetic, so clipping changes nothing material."""
+    rng = np.random.default_rng(seed)
+    shape = (4, 3, 3)
+    etas = [rng.standard_normal(shape) for _ in range(3)]
+    resid = ma1_field(rng, shape) if seed % 2 else rng.standard_normal(shape)
+    lags = (3, 2, 1) if seed % 3 else (1, 0, 2)
+    assert_close_in_norm(var_hac(etas, resid, lags), brute_force_hac(etas, resid, lags, clip=False), 1e-12)
 
 
 def test_zero_lags_equal_heteroskedastic_exactly():
