@@ -14,8 +14,12 @@ zeros wherever a decomposition is computed.
 
 Every estimator is built from four shared steps, each done in one place:
 
-* :func:`truncated_svd` is the only thin SVD with singular vectors (leading
-  subspaces of flattenings, loadings, proxies, projectors);
+* :func:`truncated_svd` is the only SVD that returns vectors (leading
+  subspaces of flattenings, loadings, proxies, projectors); it takes the
+  leading subspace from ``eigh`` of the smaller Gram matrix, while
+  :func:`multilinear_rank` keeps a plain ``compute_uv=False`` SVD because
+  the Gram route resolves small singular values only to about
+  ``sqrt(eps)`` times the largest;
 * :func:`cross_moments` builds the ``K x K`` normal equations and
   :func:`solve_gram` solves them under one conditioning policy: it raises
   :class:`~tensorfe.errors.EstimationError` when the Gram matrix is zero,
@@ -165,7 +169,9 @@ class TruncatedSvd:
     exact zeros where the raw values fall below ``1e-12 * s[0]``), ``v`` is
     ``(cols, k)`` so ``u @ diag(s) @ v.T`` is the rank-``k`` approximation.
     ``tail`` holds the discarded singular values, making the approximation
-    error ``sqrt(sum(tail**2))`` available without a second decomposition.
+    error ``sqrt(sum(tail**2))`` available without a second decomposition;
+    they come from Gram eigenvalues, so each is accurate to about
+    ``sqrt(eps) * s[0]`` and their squares to about ``eps * s[0]**2``.
     """
 
     u: np.ndarray
@@ -188,16 +194,33 @@ def _clean_singular_values(s: np.ndarray) -> np.ndarray:
 
 
 def truncated_svd(m, k: int) -> TruncatedSvd:
-    """Rank-``k`` truncated SVD (best approximation in Frobenius norm)."""
+    """Rank-``k`` truncated SVD (best approximation in Frobenius norm).
+
+    ``side`` is the matrix or its transpose, whichever has fewer rows.  The
+    leading subspace comes from ``eigh`` of the small Gram matrix
+    ``side @ side.T``; an exact thin SVD of the ``k x long`` image
+    ``q.T @ side`` of its top-``k`` eigenvectors ``q`` then gives the
+    singular values and both sets of vectors, and the tail is the square
+    root of the discarded eigenvalues clipped at zero.  A direction missing
+    from the data has ``|q_i.T @ side|`` of order ``eps * ||m||``, so
+    exactly low-rank inputs still report exact zeros.
+    """
     mat = as_tensor(m, name="matrix")
     if mat.ndim != 2:
         raise TensorShapeError(f"expected a matrix, got order-{mat.ndim} array")
     max_rank = min(mat.shape)
     if not 0 <= k <= max_rank:
         raise RankError(f"rank {k} out of range [0, {max_rank}] for shape {mat.shape}")
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    s = _clean_singular_values(s)
-    return TruncatedSvd(u=u[:, :k], s=s[:k], v=vh[:k].T, tail=s[k:])
+    wide = mat.shape[0] <= mat.shape[1]
+    side = mat if wide else mat.T
+    eigvals, eigvecs = np.linalg.eigh(side @ side.T)
+    top = eigvecs[:, ::-1][:, :k]
+    rot, s, vh = np.linalg.svd(top.T @ side, full_matrices=False)
+    short, long = top @ rot, vh.T
+    tail = np.sqrt(np.clip(eigvals[::-1][k:], 0.0, None))
+    s = _clean_singular_values(np.concatenate([s, tail]))
+    u, v = (short, long) if wide else (long, short)
+    return TruncatedSvd(u=u, s=s[:k], v=v, tail=s[k:])
 
 
 @dataclass

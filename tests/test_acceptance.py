@@ -1,7 +1,7 @@
 """Acceptance battery: one test (and one printed PASS/FAIL line) per criterion.
 
 The Monte Carlo criteria re-run the full study protocols at a fixed master
-seed, so they are slow (442 s single-core in total on a shared 2-vCPU
+seed, so they are slow (229 s single-core in total on a shared 2-vCPU
 machine, nearly all of it in the fixtures of criteria 3-5); run with
 ``pytest tests/test_acceptance.py -v -s`` to watch the lines appear, or pass
 ``--skip-slow`` to check only the algebraic/exact/property criteria.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tensorfe.dgp import DgpConfig, draw
 from tensorfe.errors import EstimationError
 from tensorfe.factor import (
     FactorFit,
@@ -70,6 +71,47 @@ def test_objective_trace_never_increases():
     assert trace.size >= 1
     assert np.all(np.diff(trace) <= 1e-10)
     assert fit.objective == pytest.approx(trace.min())
+
+
+def golden_section_min(f, lo, hi, tol=1e-10):
+    inv = (np.sqrt(5.0) - 1.0) / 2.0
+    c, e = hi - inv * (hi - lo), lo + inv * (hi - lo)
+    fc, fe = f(c), f(e)
+    while hi - lo > tol:
+        if fc <= fe:
+            hi, e, fe = e, c, fc
+            c = hi - inv * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, e, fe
+            e = lo + inv * (hi - lo)
+            fe = f(e)
+    return 0.5 * (lo + hi)
+
+
+def test_fit_stays_in_the_basin_of_pooled_ols():
+    """The profile objective on this draw has two minima: ALS from pooled OLS
+    (1.1418) descends to 1.0529; the global one (1.3985) lies past a barrier
+    near 1.175.  An extrapolation taken before ALS settles jumps the barrier."""
+    d = draw(DgpConfig("growing", (20, 15, 25)), 3)
+    y, x = d.outcome, d.regressors[0]
+
+    def svd_profile(b):
+        s = np.linalg.svd(flatten(y - b * x, 1), compute_uv=False)
+        return float(np.sum(s[2:] ** 2))
+
+    local_min = golden_section_min(svd_profile, 1.0, 1.15)
+    fit = fit_factor_model(y, x, 1, 2)
+    assert fit.converged
+    assert abs(fit.beta[0] - local_min) <= 1e-7
+    assert fit.objective <= svd_profile(local_min) * (1 + 1e-10)
+
+
+def test_acceleration_cuts_iterations_at_40_cubed():
+    d = draw(DgpConfig("growing", (40, 40, 40)), 0)
+    fit = fit_factor_model(d.outcome, d.regressors, 1, 2)
+    assert fit.converged
+    assert fit.iterations <= 25  # plain ALS takes 54
 
 
 def test_fitted_low_rank_term_has_requested_rank():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from tensorfe.errors import DegenerateWeightsError, EstimationError
@@ -75,10 +75,27 @@ def test_far_away_unit_keeps_its_own_row():
 
 
 @given(st.integers(0, 2**31 - 1), st.sampled_from([0.2, 1.0, 5.0]))
+@example(seed=434, bandwidth=0.2)  # every unit of dimension 1 is isolated
 def test_rows_sum_to_one(seed, bandwidth):
+    """Rows sum to one, unless some dimension has every unit isolated.
+
+    A unit is isolated when its off-diagonal Gaussian mass is at most
+    ``n * eps``; the weights must then raise instead.
+    """
     rng = np.random.default_rng(seed)
-    proxies = proxy_set({1: rng.standard_normal((8, 2)), 2: rng.standard_normal((5, 1))})
-    w = kernel_weights(proxies, KernelSpec(bandwidth=bandwidth))
+    columns = {1: rng.standard_normal((8, 2)), 2: rng.standard_normal((5, 1))}
+    all_isolated = False
+    for u in columns.values():
+        n = u.shape[0]
+        dist_sq = np.sum((u[:, None, :] - u[None, :, :]) ** 2, axis=-1)
+        off_diag = np.where(np.eye(n, dtype=bool), 0.0, np.exp(-dist_sq / bandwidth**2))
+        all_isolated |= bool(np.all(off_diag.sum(axis=1) <= n * np.finfo(np.float64).eps))
+    spec = KernelSpec(bandwidth=bandwidth)
+    if all_isolated:
+        with pytest.raises(DegenerateWeightsError):
+            kernel_weights(proxy_set(columns), spec)
+        return
+    w = kernel_weights(proxy_set(columns), spec)
     for dim in (1, 2):
         assert_allclose(w.for_dim(dim).sum(axis=1), 1.0, atol=1e-12)
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from tensorfe.errors import RankError, TensorShapeError
+from tensorfe.errors import EstimationError, RankError, TensorShapeError
+from tensorfe.factor import residual_proxies
 from tensorfe.tensor_ops import (
     cp_compose,
     flatten,
@@ -168,6 +169,39 @@ def test_truncation_residual_matches_gram_eigenvalues(seed, k):
     resid = np.linalg.norm(m - fit.compose()) ** 2
     assert_allclose(fit.residual_norm_sq, resid, rtol=1e-8, atol=1e-12)
     assert_allclose(resid, eckart_young_tail(m, k), rtol=1e-8, atol=1e-12)
+
+
+def rel_err(a, b):
+    return np.linalg.norm(np.asarray(a) - np.asarray(b)) / max(np.linalg.norm(b), 1e-300)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 7), (12, 60), (60, 12), (30, 400), (400, 30)])
+def test_truncated_svd_matches_lapack(shape):
+    m = np.random.default_rng(sum(shape)).standard_normal(shape)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    for k in range(min(shape) + 1):
+        fit = truncated_svd(m, k)
+        assert fit.u.shape == (shape[0], k) and fit.v.shape == (shape[1], k)
+        assert rel_err(fit.u @ fit.u.T, u[:, :k] @ u[:, :k].T) <= 1e-10
+        assert rel_err(fit.v @ fit.v.T, vh[:k].T @ vh[:k]) <= 1e-10
+        assert rel_err(fit.s, s[:k]) <= 1e-10
+        assert rel_err(fit.compose(), (u[:, :k] * s[:k]) @ vh[:k]) <= 1e-10
+        tail = float(np.sum(s[k:] ** 2))
+        assert abs(fit.residual_norm_sq - tail) <= 1e-10 * tail
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_exact_rank_one_flattening_reports_exact_zeros(dim):
+    t, _ = random_cp(np.random.default_rng(29), (40, 40, 40), 1)
+    fit = truncated_svd(flatten(t, dim), 2)
+    assert fit.s[0] > 0.0
+    assert fit.s[1] == 0.0
+
+
+def test_exact_rank_one_residual_gives_degenerate_proxies():
+    t, _ = random_cp(np.random.default_rng(29), (40, 40, 40), 1)
+    with pytest.raises(EstimationError, match="degenerate proxies"):
+        residual_proxies(t, 2)
 
 
 def test_truncated_svd_beats_random_candidates():
