@@ -5,7 +5,8 @@ The package is organized around the estimation pipeline:
 ``tensor_ops``
     flattening / mode-product / HOSVD primitives with a frozen linearization
     convention, and the linear-algebra core shared by every estimator (one
-    thin SVD, one normal-equation solve, one regressor list, one residual);
+    thin SVD, one normal-equation solve, one regressor list, one residual,
+    one multilinear projector);
 ``factor``
     alternating least squares for slopes plus a low-rank component, proxy
     extraction from preliminary residuals;
@@ -34,7 +35,6 @@ from .factor import (
     ProxySet,
     defactored_regressors,
     fit_factor_model,
-    low_rank_effects,
     residual_proxies,
 )
 from .inference import (
@@ -49,7 +49,6 @@ from .inference import (
     normal_quantile,
     orthogonalize,
     pooled_ols,
-    regressor_low_rank_parts,
     var_hac,
     var_heteroskedastic,
     var_homoskedastic,
@@ -87,8 +86,10 @@ from .tensor_ops import (
     flatten,
     hosvd,
     hosvd_truncate,
+    mode_bases,
     mode_product,
     multilinear_rank,
+    project,
     truncated_svd,
     unflatten,
     vec,
@@ -111,7 +112,6 @@ __all__ = [
     "ProxySet",
     "defactored_regressors",
     "fit_factor_model",
-    "low_rank_effects",
     "residual_proxies",
     "CorrectedFit",
     "CrossfitPlan",
@@ -124,7 +124,6 @@ __all__ = [
     "normal_quantile",
     "orthogonalize",
     "pooled_ols",
-    "regressor_low_rank_parts",
     "var_hac",
     "var_heteroskedastic",
     "var_homoskedastic",
@@ -158,8 +157,10 @@ __all__ = [
     "flatten",
     "hosvd",
     "hosvd_truncate",
+    "mode_bases",
     "mode_product",
     "multilinear_rank",
+    "project",
     "truncated_svd",
     "unflatten",
     "vec",

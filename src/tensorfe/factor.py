@@ -33,7 +33,6 @@ from .tensor_ops import (
     check_dim,
     cross_moments,
     flatten,
-    hosvd_truncate,
     net_of,
     regressor_list,
     solve_gram,
@@ -372,11 +371,3 @@ def residual_proxies(residual, ranks, dims=None, *, source: str = "residual-svd"
         columns[d] = cols / sd
     return ProxySet(columns=columns, source=source)
 
-
-def low_rank_effects(residual, ranks) -> np.ndarray:
-    """Multilinear low-rank estimate of the interactive-effect component.
-
-    Truncated HOSVD of the preliminary residual at the given per-dimension
-    ranks; used both on its own and inside the orthogonalized estimator.
-    """
-    return hosvd_truncate(residual, ranks)

@@ -5,12 +5,17 @@ multilinear low-rank projection (removing the part that co-moves with the
 interactive effects), estimates the effects themselves from the outcome net
 of a preliminary slope, and then regresses the structurally-cleaned outcome
 on the cleaned regressors.  Debiasing works because the nuisance errors enter
-the estimating equation only through products of small terms.
+the estimating equation only through products of small terms.  Both the plain
+and the cross-fitted estimator take that projection from the one pair
+:func:`~tensorfe.tensor_ops.mode_bases` + :func:`~tensorfe.tensor_ops.project`;
+the cross-fitted one fits the bases on the other fold.
 
 Variance estimators share one sandwich: homoskedastic, heteroskedastic, and a
-HAC version that sums empirical cross-moments over a box of per-dimension
-offsets with a product-Bartlett taper.  Setting every lag to zero reproduces
-the heteroskedastic estimator exactly (same code path).
+HAC version whose middle matrix weights cross-moments at per-dimension
+offsets with a product-Bartlett taper.  The taper is separable, so the HAC
+applies one Bartlett Toeplitz matrix per lagged dimension as a mode product
+and its cost does not grow with the lags.  Setting every lag to zero
+reproduces the heteroskedastic estimator exactly (same code path).
 """
 
 from __future__ import annotations
@@ -26,20 +31,14 @@ from .tensor_ops import (
     as_tensor,
     check_dim,
     cross_moments,
-    flatten,
     hosvd_truncate,
+    mode_bases,
     mode_product,
     net_of,
+    project,
     regressor_list,
     solve_gram,
-    truncated_svd,
 )
-
-
-def regressor_low_rank_parts(x, ranks) -> list[np.ndarray]:
-    """Per-regressor multilinear low-rank components (HOSVD truncations)."""
-    xs = [x] if isinstance(x, np.ndarray) and x.ndim == len(ranks) else list(x)
-    return [hosvd_truncate(as_tensor(xk, name=f"regressor {k + 1}"), ranks) for k, xk in enumerate(xs)]
 
 
 @dataclass
@@ -85,10 +84,7 @@ def orthogonalize(y, x, beta_tilde, ranks, *, effects=None) -> Orthogonalization
     if bt.shape != (len(xs),):
         raise TensorShapeError(f"beta_tilde has shape {bt.shape}, expected ({len(xs)},)")
     ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != y_arr.ndim:
-        raise RankError(f"{len(ranks)} ranks given for an order-{y_arr.ndim} tensor")
-
-    gamma_x = regressor_low_rank_parts(xs, ranks)
+    gamma_x = [hosvd_truncate(xk, ranks) for xk in xs]
     if effects is None:
         effects = hosvd_truncate(net_of(y_arr, xs, bt), ranks)
     else:
@@ -341,11 +337,6 @@ def _take(t: np.ndarray, idx, dim: int) -> np.ndarray:
     return np.take(t, np.asarray(idx, dtype=np.intp), axis=dim - 1)
 
 
-def _subspace_projector(mat: np.ndarray, rank: int) -> np.ndarray:
-    basis = truncated_svd(mat, rank).u
-    return basis @ basis.T
-
-
 def pooled_ols(y, x) -> np.ndarray:
     """Plain pooled OLS slope on vectorized tensors (no transform)."""
     y_arr = as_tensor(y, name="outcome")
@@ -361,19 +352,21 @@ def corrected_estimate_split(
 ) -> CorrectedFit:
     """Cross-fitted corrected estimate.
 
-    For each fold along the split dimension, the preliminary slope and all
-    low-rank subspaces (per-regressor and for the effects) are estimated on
-    the complement fold; the split dimension itself is never projected.
-    Non-split dimensions keep their full index sets inside every sub-tensor.
-    Fold-level cleaned moments are pooled into one slope, and the residual and
-    cleaned regressors are scattered back to full shape in original index
-    order so autocorrelation-aware variance estimators stay meaningful.
+    For each fold along the split dimension, the preliminary slope and the
+    :func:`~tensorfe.tensor_ops.mode_bases` of every regressor and of the
+    preliminary residual are fitted on the complement fold over the non-split
+    dimensions, then :func:`~tensorfe.tensor_ops.project` applies them to this
+    fold; the split dimension itself is never projected, so its rank is
+    ignored.  This is :func:`orthogonalize` with the bases fitted out of fold:
+    full-rank modes are the identity (all of them full rank leaves nothing of
+    the regressors and raises :class:`EstimationError`), and a rank above a
+    fold flattening's width keeps all its vectors.  Fold-level cleaned moments
+    are pooled into one slope, and the residual and cleaned regressors are
+    scattered back to full shape in original index order so
+    autocorrelation-aware variance estimators stay meaningful.
     """
     y_arr = as_tensor(y, name="outcome", min_order=2)
     xs = regressor_list(x, y_arr.shape)
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != y_arr.ndim:
-        raise RankError(f"{len(ranks)} ranks given for an order-{y_arr.ndim} tensor")
     split_dim = check_dim(plan.dim, y_arr.ndim)
     project_dims = [d for d in range(1, y_arr.ndim + 1) if d != split_dim]
 
@@ -391,24 +384,11 @@ def corrected_estimate_split(
         if bt.shape != (n_reg,):
             raise EstimationError(f"preliminary estimator returned shape {bt.shape}, expected ({n_reg},)")
         fold_prelims.append(bt)
-        fit_resid = net_of(fit_y, fit_x, bt)
-
-        x_projectors = [
-            {d: _subspace_projector(flatten(xk, d), ranks[d - 1]) for d in project_dims} for xk in fit_x
-        ]
-        resid_projectors = {d: _subspace_projector(flatten(fit_resid, d), ranks[d - 1]) for d in project_dims}
 
         sub_y = _take(y_arr, apply_idx, split_dim)
         sub_x = [_take(xk, apply_idx, split_dim) for xk in xs]
-        gamma_x = []
-        for xk, projs in zip(sub_x, x_projectors):
-            g = xk
-            for d in project_dims:
-                g = mode_product(g, projs[d], d)
-            gamma_x.append(g)
-        effects = net_of(sub_y, sub_x, bt)
-        for d in project_dims:
-            effects = mode_product(effects, resid_projectors[d], d)
+        gamma_x = [project(xk, mode_bases(fk, ranks, project_dims)) for xk, fk in zip(sub_x, fit_x)]
+        effects = project(net_of(sub_y, sub_x, bt), mode_bases(net_of(fit_y, fit_x, bt), ranks, project_dims))
         gamma_y = sum(b * g for b, g in zip(bt, gamma_x)) + effects
         eta = [xk - g for xk, g in zip(sub_x, gamma_x)]
 

@@ -128,6 +128,25 @@ class WeightSet:
         return tuple(sorted(self.weights))
 
 
+def _proxy_matrices(proxies, dims) -> dict[int, np.ndarray]:
+    """Proxy matrices ``(N_d, r)`` by dimension in ascending order, restricted to ``dims`` when given."""
+    columns = proxies.columns if isinstance(proxies, ProxySet) else dict(proxies)
+    if dims is not None:
+        missing = [d for d in dims if d not in columns]
+        if missing:
+            raise RankError(f"no proxies available for dimension(s) {missing}")
+        columns = {d: columns[d] for d in dims}
+    out: dict[int, np.ndarray] = {}
+    for d in sorted(columns):
+        u = as_tensor(columns[d], name=f"proxies for dimension {d}")
+        if u.ndim == 1:
+            u = u[:, None]
+        if u.ndim != 2:
+            raise TensorShapeError(f"proxies for dimension {d} must be a matrix")
+        out[d] = u
+    return out
+
+
 def kernel_weights(proxies, spec: KernelSpec, dims=None) -> WeightSet:
     """Build per-dimension weight matrices from proxy distances.
 
@@ -136,23 +155,13 @@ def kernel_weights(proxies, spec: KernelSpec, dims=None) -> WeightSet:
     one.  Raises when every unit of some dimension is isolated — the within
     transform would annihilate that entire dimension.
     """
-    columns = proxies.columns if isinstance(proxies, ProxySet) else dict(proxies)
-    if dims is not None:
-        missing = [d for d in dims if d not in columns]
-        if missing:
-            raise RankError(f"no proxies available for dimension(s) {missing}")
-        columns = {d: columns[d] for d in dims}
+    columns = _proxy_matrices(proxies, dims)
     if not columns:
         raise RankError("no proxy columns supplied")
 
     weights: dict[int, np.ndarray] = {}
     degenerate: dict[int, np.ndarray] = {}
-    for d in sorted(columns):
-        u = as_tensor(columns[d], name=f"proxies for dimension {d}")
-        if u.ndim == 1:
-            u = u[:, None]
-        if u.ndim != 2:
-            raise TensorShapeError(f"proxies for dimension {d} must be a matrix")
+    for d, u in columns.items():
         h = spec.bandwidth_for(d)
         kmat = kernel_eval(spec.family, _pairwise_distances(u) / h)
         w, iso = _normalize_rows(kmat)
@@ -308,7 +317,8 @@ def iterative_kernel_fe(y, x, proxies, spec: KernelSpec, dims=None) -> Iterative
 
     Instead of one weight matrix per dimension built from vector proxy
     distances, each proxy column gets its own weights from scalar distances
-    (|difference| / bandwidth) and contributes one ``I - W`` factor; a
+    (|difference| / bandwidth), built by :func:`kernel_weights` on that one
+    column, and contributes one ``I - W`` factor; a
     dimension's transform is the product of its column factors.  With a single
     proxy column per dimension this reproduces :func:`kernel_fe_estimate`
     exactly.
@@ -316,34 +326,16 @@ def iterative_kernel_fe(y, x, proxies, spec: KernelSpec, dims=None) -> Iterative
     y_arr = as_tensor(y, name="outcome", min_order=2)
     xs = regressor_list(x, y_arr.shape)
 
-    columns = proxies.columns if isinstance(proxies, ProxySet) else dict(proxies)
-    if dims is not None:
-        missing = [d for d in dims if d not in columns]
-        if missing:
-            raise RankError(f"no proxies available for dimension(s) {missing}")
-        columns = {d: columns[d] for d in dims}
-
     column_weights: dict[tuple[int, int], np.ndarray] = {}
     degenerate: dict[tuple[int, int], np.ndarray] = {}
     composed: dict[int, np.ndarray] = {}
-    for d in sorted(columns):
-        u = as_tensor(columns[d], name=f"proxies for dimension {d}")
-        if u.ndim == 1:
-            u = u[:, None]
-        h = spec.bandwidth_for(d)
-        n = u.shape[0]
-        transform = np.eye(n)
+    for d, u in _proxy_matrices(proxies, dims).items():
+        transform = np.eye(u.shape[0])
         for m in range(u.shape[1]):
-            kmat = kernel_eval(spec.family, _pairwise_distances(u[:, m]) / h)
-            w, iso = _normalize_rows(kmat)
-            if iso.size == n:
-                raise DegenerateWeightsError(
-                    f"all units of dimension {d} are isolated in proxy column {m + 1} "
-                    f"at bandwidth {h}"
-                )
-            column_weights[(d, m + 1)] = w
-            degenerate[(d, m + 1)] = iso
-            transform = (np.eye(n) - w) @ transform
+            column = kernel_weights({d: u[:, m]}, spec)
+            column_weights[(d, m + 1)] = column.weights[d]
+            degenerate[(d, m + 1)] = column.degenerate_rows[d]
+            transform = (np.eye(u.shape[0]) - column.weights[d]) @ transform
         composed[d] = transform
 
     projections = ProjectionSet(mats=composed, variant="plain")

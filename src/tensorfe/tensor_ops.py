@@ -12,7 +12,7 @@ Conventions (frozen; every routine in the package relies on them):
 Singular values below ``1e-12`` times the largest one are treated as exact
 zeros wherever a decomposition is computed.
 
-Every estimator is built from four shared steps, each done in one place:
+Every estimator is built from five shared steps, each done in one place:
 
 * :func:`truncated_svd` is the only SVD that returns vectors (leading
   subspaces of flattenings, loadings, proxies, projectors); it takes the
@@ -27,7 +27,11 @@ Every estimator is built from four shared steps, each done in one place:
   no estimator falls back to a pseudo-inverse;
 * :func:`regressor_list` normalizes a regressor argument (one tensor, a
   list or tuple of tensors, or tensors stacked along a leading axis);
-* :func:`net_of` forms the residual ``y - sum_k beta[k] * x[k]``.
+* :func:`net_of` forms the residual ``y - sum_k beta[k] * x[k]``;
+* :func:`mode_bases` fits the leading subspace of each mode's flattening and
+  :func:`project` applies the multilinear projection ``B (B.T .)`` onto them
+  as thin mode products; HOSVD truncation and both corrected estimators
+  (plain and cross-fitted) are built from this pair.
 """
 
 from __future__ import annotations
@@ -238,52 +242,69 @@ class Hosvd:
         return out
 
 
-def _check_ranks(ranks, shape) -> tuple[int, ...]:
+def mode_bases(t, ranks, dims=None) -> dict[int, np.ndarray]:
+    """Leading left singular vectors of each listed mode's flattening.
+
+    ``ranks`` gives one rank per dimension of ``t``; only the listed ``dims``
+    (1-indexed, default all) are fitted and have their ranks checked against
+    ``[0, N_d]``.  A mode whose rank reaches its size is left out, because its
+    projection is the identity; a flattening narrower than its rank keeps all
+    its vectors, and a zero rank gives a zero-width basis.
+    """
+    arr = as_tensor(t)
     ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != len(shape):
-        raise RankError(f"{len(ranks)} ranks given for an order-{len(shape)} tensor")
-    for r, n in zip(ranks, shape):
+    if len(ranks) != arr.ndim:
+        raise RankError(f"{len(ranks)} ranks given for an order-{arr.ndim} tensor")
+    dims = range(1, arr.ndim + 1) if dims is None else [check_dim(d, arr.ndim) for d in dims]
+    bases = {}
+    for d in dims:
+        r, n = ranks[d - 1], arr.shape[d - 1]
         if not 0 <= r <= n:
             raise RankError(f"rank {r} out of range [0, {n}]")
-    return ranks
+        if r < n:
+            mat = flatten(arr, d)
+            bases[d] = truncated_svd(mat, min(r, mat.shape[1])).u
+    return bases
+
+
+def project(t, bases) -> np.ndarray:
+    """Apply ``B (B.T .)`` along each mode ``d`` of ``bases``, as two thin mode products.
+
+    For orthonormal bases this is an orthogonal projection in vec space, a
+    fact the orthogonalized estimators rely on; a zero-width basis gives exact
+    zeros.
+    """
+    out = as_tensor(t)
+    for d, basis in bases.items():
+        out = mode_product(mode_product(out, basis.T, d), basis, d)
+    return out
 
 
 def hosvd(t, ranks) -> Hosvd:
     """Higher-order SVD truncated to the given multilinear ranks.
 
-    Each mode basis is the leading left singular vectors of that mode's
-    flattening of the *original* tensor; the core is the tensor multiplied by
-    all the transposed bases.
+    Each mode basis comes from :func:`mode_bases` on the *original* tensor
+    (the identity at full rank); the core is the tensor multiplied by all the
+    transposed bases.
     """
     arr = as_tensor(t)
-    ranks = _check_ranks(ranks, arr.shape)
-    bases, core = [], arr
-    for n, r in enumerate(ranks):
-        mat = flatten(arr, n + 1)  # a flattening narrower than r keeps all its vectors
-        bases.append(truncated_svd(mat, min(r, mat.shape[1])).u)
-        core = mode_product(core, bases[-1].T, n + 1)
+    ranks = tuple(int(r) for r in ranks)
+    fitted = mode_bases(arr, ranks)
+    core = arr
+    for d, basis in fitted.items():
+        core = mode_product(core, basis.T, d)
+    bases = [fitted.get(n + 1, np.eye(size)) for n, size in enumerate(arr.shape)]
     return Hosvd(core=core, bases=bases, ranks=ranks)
 
 
 def hosvd_truncate(t, ranks) -> np.ndarray:
     """Multilinear projection of ``t`` onto its leading HOSVD subspaces.
 
-    Equivalent to composing :func:`hosvd`; any zero rank yields the zero
-    tensor.  This is an orthogonal projection in vec space, a fact the
-    orthogonalized estimators rely on.
+    ``project(t, mode_bases(t, ranks))``: equal to composing :func:`hosvd`,
+    the identity along full-rank modes and the zero tensor when any rank is
+    zero.
     """
-    arr = as_tensor(t)
-    ranks = _check_ranks(ranks, arr.shape)
-    if min(ranks) == 0:
-        return np.zeros_like(arr)
-    out = arr
-    for n, r in enumerate(ranks):
-        if r == arr.shape[n]:
-            continue  # projection onto a full basis is the identity
-        mat = flatten(arr, n + 1)
-        basis = truncated_svd(mat, min(r, mat.shape[1])).u
-        out = mode_product(out, basis @ basis.T, n + 1)
-    return out
+    return project(t, mode_bases(t, ranks))
 
 
 @dataclass

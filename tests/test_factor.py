@@ -12,10 +12,9 @@ from tensorfe.factor import (
     FactorFit,
     defactored_regressors,
     fit_factor_model,
-    low_rank_effects,
     residual_proxies,
 )
-from tensorfe.tensor_ops import cp_compose, flatten, unflatten
+from tensorfe.tensor_ops import cp_compose, flatten, hosvd_truncate, unflatten
 
 BETA = (1.0, -0.5)
 
@@ -234,7 +233,7 @@ def test_low_rank_effects_exact_at_matching_ranks():
     col = rng.standard_normal((8, 1))
     mats = [col @ np.ones((1, 3)), rng.standard_normal((8, 3)), rng.standard_normal((8, 3))]
     effects = cp_compose(mats)
-    assert_allclose(low_rank_effects(effects, (1, 3, 3)), effects, atol=1e-9)
+    assert_allclose(hosvd_truncate(effects, (1, 3, 3)), effects, atol=1e-9)
 
 
 def test_low_rank_effects_filters_noise():
@@ -245,7 +244,7 @@ def test_low_rank_effects_filters_noise():
         mats = [rng.standard_normal((20, 2)) for _ in range(3)]
         effects = cp_compose(mats)
         noise = rng.standard_normal(shape)
-        est = low_rank_effects(effects + noise, (2, 2, 2))
+        est = hosvd_truncate(effects + noise, (2, 2, 2))
         if np.linalg.norm(est - effects) < np.linalg.norm(noise):
             wins += 1
     assert wins == 50
@@ -253,4 +252,4 @@ def test_low_rank_effects_filters_noise():
 
 def test_low_rank_effects_zero_ranks():
     arr = np.random.default_rng(11).standard_normal((4, 4, 4))
-    assert_allclose(low_rank_effects(arr, (0, 0, 0)), 0.0)
+    assert_allclose(hosvd_truncate(arr, (0, 0, 0)), 0.0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from tensorfe.dgp import DgpConfig, draw_growing
+from tensorfe.dgp import DgpConfig, draw_fixed, draw_growing
 from tensorfe.errors import EstimationError, RankError, TensorShapeError
 from tensorfe.factor import fit_factor_model, residual_proxies
 from tensorfe.inference import (
@@ -20,13 +20,12 @@ from tensorfe.inference import (
     normal_quantile,
     orthogonalize,
     pooled_ols,
-    regressor_low_rank_parts,
     var_hac,
     var_heteroskedastic,
     var_homoskedastic,
 )
 from tensorfe.kernel_fe import KernelSpec, kernel_fe_estimate, kernel_weights, within_projections
-from tensorfe.tensor_ops import cp_compose, mode_product
+from tensorfe.tensor_ops import cp_compose, flatten, hosvd_truncate, mode_product, truncated_svd
 
 Z_95 = 1.959963984540054
 
@@ -92,16 +91,14 @@ def test_supplied_effects_bypass_the_truncation():
 
 def test_low_rank_parts_exact_for_structured_regressors():
     _, _, gammas, _, _, _ = spanned_panel(3)
-    parts = regressor_low_rank_parts(gammas, (2, 2, 2))
-    for part, gamma in zip(parts, gammas):
-        assert_allclose(part, gamma, atol=1e-9)
+    for gamma in gammas:
+        assert_allclose(hosvd_truncate(gamma, (2, 2, 2)), gamma, atol=1e-9)
 
 
 def test_zero_ranks_remove_nothing():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 4, 4))
-    (part,) = regressor_low_rank_parts([x], (0, 0, 0))
-    assert_array_equal(part, np.zeros_like(x))
+    assert_array_equal(hosvd_truncate(x, (0, 0, 0)), np.zeros_like(x))
 
 
 # -- corrected estimator ------------------------------------------------------
@@ -478,3 +475,62 @@ def test_split_and_plain_estimates_agree_within_sampling_error():
         split_fit = corrected_estimate_split(y, xs, (4, 4, 4), plan, prelim=prelim)
         close += abs(split_fit.beta[0] - fit.beta[0]) < 3.0 * se
     assert close / n_draws >= 0.95
+
+
+def test_full_rank_projection_raises_in_the_plain_and_the_split_estimator():
+    """Every projected mode at full rank leaves exactly zero cleaned regressors.
+
+    The projection is then the identity, so neither estimator may fit a slope
+    to what is left: rounding noise, whose HAC standard error ran to 1e13.
+    """
+    panel = draw_growing(DgpConfig(dims=(8, 6, 5)), np.random.SeedSequence([3]))
+    y, xs = panel.outcome, panel.regressors
+    with pytest.raises(EstimationError, match="cleaned regressors are identically zero"):
+        corrected_estimate(y, xs, pooled_ols(y, xs), (8, 6, 5))
+    plan = crossfit_split(y.shape, 1, seed=0)
+    with pytest.raises(EstimationError, match="cross-fitted cleaned regressors are identically zero"):
+        corrected_estimate_split(y, xs, (2, 6, 5), plan)
+    panel = draw_fixed(DgpConfig(design="fixed", dims=(6, 5, 4, 4)), 0)
+    plan = crossfit_split(panel.shape, 1, seed=0)
+    with pytest.raises(EstimationError, match="cross-fitted cleaned regressors are identically zero"):
+        corrected_estimate_split(panel.outcome, panel.regressors, (2, 5, 4, 4), plan)
+
+
+def dense_projector_split(y, xs, ranks, plan):
+    """Cross-fit with dense ``B @ B.T`` projectors and per-mode loops; returns the slope and Omega."""
+    dims = [d for d in range(1, y.ndim + 1) if d != plan.dim]
+
+    def take(t, idx):
+        return np.take(t, np.asarray(idx), axis=plan.dim - 1)
+
+    def projected(t, fitted_on):
+        for d in dims:
+            basis = truncated_svd(flatten(fitted_on, d), ranks[d - 1]).u
+            t = mode_product(t, basis @ basis.T, d)
+        return t
+
+    gram, rhs = np.zeros((len(xs), len(xs))), np.zeros(len(xs))
+    for apply_idx, fit_idx in ((plan.fold_a, plan.fold_b), (plan.fold_b, plan.fold_a)):
+        fit_y, fit_x = take(y, fit_idx), [take(x, fit_idx) for x in xs]
+        sub_y, sub_x = take(y, apply_idx), [take(x, apply_idx) for x in xs]
+        bt = pooled_ols(fit_y, fit_x)
+        gamma = [projected(x, f) for x, f in zip(sub_x, fit_x)]
+        effects = projected(sub_y - sum(b * x for b, x in zip(bt, sub_x)), fit_y - sum(b * x for b, x in zip(bt, fit_x)))
+        eta = [x - g for x, g in zip(sub_x, gamma)]
+        target = sub_y - sum(b * g for b, g in zip(bt, gamma)) - effects
+        gram += np.array([[np.vdot(a, b) for b in eta] for a in eta])
+        rhs += np.array([np.vdot(a, target) for a in eta])
+    return np.linalg.solve(gram, rhs), gram / y.size
+
+
+@pytest.mark.parametrize("n_reg", [1, 2])
+@pytest.mark.parametrize("split_dim", [1, 3])
+def test_split_estimate_matches_dense_projector_cross_fit(n_reg, split_dim):
+    panel = draw_growing(DgpConfig(dims=(10, 9, 12)), np.random.SeedSequence([61, split_dim]))
+    promo = (np.random.default_rng(split_dim).random(panel.shape) < 0.25).astype(float)
+    y, xs = panel.outcome - 0.5 * promo, (panel.regressors + [promo])[:n_reg]
+    plan = crossfit_split(y.shape, split_dim, seed=split_dim)
+    fit = corrected_estimate_split(y, xs, (2, 3, 2), plan)
+    beta, omega = dense_projector_split(y, xs, (2, 3, 2), plan)
+    assert_allclose(fit.beta, beta, rtol=1e-12)
+    assert_allclose(fit.omega, omega, rtol=1e-12)

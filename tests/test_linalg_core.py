@@ -11,12 +11,12 @@ from tensorfe.inference import (
     corrected_estimate,
     corrected_estimate_split,
     crossfit_split,
+    orthogonalize,
     pooled_ols,
-    regressor_low_rank_parts,
 )
 from tensorfe.kernel_fe import KernelSpec, iterative_kernel_fe, kernel_fe_estimate, kernel_weights, within_projections
 from tensorfe.montecarlo import EstimatorSpec, estimate_panel
-from tensorfe.tensor_ops import GRAM_COND_LIMIT, cross_moments, net_of, regressor_list, solve_gram
+from tensorfe.tensor_ops import GRAM_COND_LIMIT, cross_moments, hosvd_truncate, net_of, regressor_list, solve_gram
 
 SHAPE = (9, 10, 11)
 
@@ -75,11 +75,12 @@ def test_regressor_list_forms(rng):
 
 def test_low_rank_parts_accept_every_regressor_form(rng):
     xs = [rng.standard_normal(SHAPE) for _ in range(2)]
-    want = regressor_low_rank_parts(xs, (1, 2, 2))
-    for form in (tuple(xs), np.stack(xs)):
-        for got, expected in zip(regressor_low_rank_parts(form, (1, 2, 2)), want):
+    y = rng.standard_normal(SHAPE)
+    want = [hosvd_truncate(xk, (1, 2, 2)) for xk in xs]
+    for form in (xs, tuple(xs), np.stack(xs)):
+        for got, expected in zip(orthogonalize(y, form, [0.0, 0.0], (1, 2, 2)).gamma_x, want):
             assert_array_equal(got, expected)
-    assert_array_equal(regressor_low_rank_parts(xs[0], (1, 2, 2))[0], want[0])
+    assert_array_equal(orthogonalize(y, xs[0], [0.0], (1, 2, 2)).gamma_x[0], want[0])
 
 
 def test_regressor_list_rejects_bad_input():

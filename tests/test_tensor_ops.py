@@ -12,8 +12,10 @@ from tensorfe.tensor_ops import (
     flatten,
     hosvd,
     hosvd_truncate,
+    mode_bases,
     mode_product,
     multilinear_rank,
+    project,
     truncated_svd,
     unflatten,
     vec,
@@ -256,6 +258,47 @@ def test_rank_above_a_narrow_flattening_keeps_every_vector():
     t = np.random.default_rng(43).standard_normal((6, 2, 1))  # dimension 1 flattens to 6 x 2
     assert_allclose(hosvd_truncate(t, (4, 2, 1)), t, atol=1e-12)
     assert_allclose(hosvd(t, (4, 2, 1)).compose(), t, atol=1e-12)
+
+
+def dense_projection(t, bases):
+    out = t
+    for d, basis in bases.items():
+        out = mode_product(out, basis @ basis.T, d)
+    return out
+
+
+@pytest.mark.parametrize("shape, ranks", [((6, 5, 7), (2, 3, 1)), ((4, 5, 3, 6), (2, 1, 2, 3))])
+def test_project_matches_dense_projectors_and_is_idempotent(shape, ranks):
+    t = np.random.default_rng(47).standard_normal(shape)
+    bases = mode_bases(t, ranks)
+    assert list(bases) == list(range(1, len(shape) + 1))
+    for d, basis in bases.items():
+        assert_allclose(basis.T @ basis, np.eye(ranks[d - 1]), atol=1e-12)
+    once = project(t, bases)
+    assert_allclose(once, dense_projection(t, bases), atol=1e-12)
+    assert_allclose(project(once, bases), once, atol=1e-12)
+    assert_array_equal(once, hosvd_truncate(t, ranks))
+
+
+@pytest.mark.parametrize("shape", [(4, 5, 3), (3, 4, 2, 5)])
+def test_mode_bases_omit_full_rank_modes_and_zero_rank_gives_zeros(shape):
+    t = np.random.default_rng(53).standard_normal(shape)
+    assert mode_bases(t, shape) == {}
+    assert_array_equal(project(t, {}), t)
+    bases = mode_bases(t, (1, 0) + shape[2:])
+    assert list(bases) == [1, 2]
+    assert bases[2].shape == (shape[1], 0)
+    assert_array_equal(project(t, bases), np.zeros_like(t))
+
+
+def test_mode_bases_check_only_the_listed_dims():
+    t = np.random.default_rng(59).standard_normal((6, 4, 3))
+    bases = mode_bases(t, (2, 2, 9), dims=[1, 2])  # dimension 3's rank is never used
+    assert [b.shape for b in bases.values()] == [(6, 2), (4, 2)]
+    with pytest.raises(RankError):
+        mode_bases(t, (2, 2, 9))
+    with pytest.raises(RankError):
+        mode_bases(t, (2, 2))
 
 
 def test_flatten_rejects_out_of_range_dim():
