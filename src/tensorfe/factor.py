@@ -3,22 +3,28 @@
 The estimator alternates two exact minimization steps on the mode-``n``
 flattening of the data (Bai 2009, Econometrica 77(4)): a pooled-OLS update
 of the slope coefficients given the current low-rank component, and a
-truncated-SVD update of the low-rank component given the slopes.  Because
-every iteration only needs the top eigenvectors of the residual's row Gram
-matrix, the loop works with precomputed ``N_n x N_n`` cross-Gram blocks
-instead of re-flattening the data each pass; the reported loadings, factors,
-and residual are recomputed from one genuine thin SVD at the best slope
-vector seen.
+truncated-SVD update of the low-rank component given the slopes.  The loop
+never touches the ``N_n x M`` flattenings.  With ``A`` and ``B_k`` the
+flattened outcome and regressors, the residual's row Gram matrix at ``beta``
+and the OLS step's projected inner products are both quadratic forms in the
+``N_n x N_n`` blocks ``A A'``, ``A B_k'`` and ``B_k B_l'`` (``k <= l``),
+formed and symmetrized once; an iteration costs one ``eigh`` of a
+combination of them plus their ``r x r`` compressions.  The reported
+loadings, factors, and residual come from one genuine thin SVD at the last
+iterate.
 
 The alternation is a fixed-point map ``beta -> G(beta)`` that converges
 linearly, often slowly.  Anderson extrapolation (Walker & Ni 2011, SIAM J.
 Numer. Anal. 49(4)) over the last few iterates shortens it, under two
-safeguards that keep the fit on ALS's own limit: extrapolation is tried only
+safeguards that keep the fit on ALS's own limit: extrapolation starts only
 once the plain steps shrink at a steady ratio, and an extrapolated point is
 accepted only when its profile objective is no worse than that of the plain
 step from the same iterate.  Without the first, a secant step taken while
 ALS is still moving away from an unstable fixed point can jump across it
-into another basin of the objective.
+into another basin of the objective.  An accepted jump itself breaks the
+steady ratio, so after one a candidate is tried on every iteration until
+one fails the objective test; that clears the history and re-arms the first
+safeguard.
 """
 
 from __future__ import annotations
@@ -117,14 +123,22 @@ def fit_factor_model(
     """Alternating least squares for slopes plus a low-rank component.
 
     Each iteration takes the plain ALS step ``G(beta)``: the top
-    ``n_factors`` eigenvectors of the residual's row Gram matrix at ``beta``,
-    then pooled OLS of the data net of that low-rank component.  Once the
-    last three plain steps shrink with ratios that agree within 5%, an
-    Anderson step of memory 3 extrapolates from the recent ``(beta,
+    ``n_factors`` eigenvectors ``Q`` of the residual's row Gram matrix at
+    ``beta``, then pooled OLS of the data net of that low-rank component.
+    The OLS step needs only ``<Q'B_k, Q'R> = <Q, W_k Q>`` with
+    ``R = A - sum_l beta_l B_l`` and ``W_k`` the symmetric part of
+    ``A B_k' - sum_l beta_l B_l B_k'``, so both halves of the step run on
+    the ``1 + K + K(K+1)/2`` precomputed Gram blocks.
+
+    Once the last three plain steps shrink with ratios that agree within 5%,
+    an Anderson step of memory 3 extrapolates from the recent ``(beta,
     G(beta))`` pairs; it replaces ``G(beta)`` only if its profile objective
-    (the discarded eigenvalue mass) is no larger, and otherwise the history
-    is cleared.  Every accepted iterate therefore lowers the objective, as a
-    plain ALS step does.
+    (the discarded eigenvalue mass) is no larger.  After an accepted
+    candidate one is tried on every following iteration, the stopping one
+    included; a rejected candidate clears the history, so the steady-ratio
+    test must pass again before the next.  Every accepted iterate therefore
+    lowers the objective, as a plain ALS step does, and the last iterate is
+    the one returned.
 
     The fit starts from pooled OLS and returns the limit ALS reaches from
     there, which is a local minimizer of the profile objective; on small
@@ -148,7 +162,8 @@ def fit_factor_model(
     tol : float
         The fit stops once a plain ALS step moves the slope vector by at
         most ``tol * max(||beta||, 1)`` (Euclidean norm); that step's result
-        is the last iterate.
+        is the last iterate, or the extrapolation from it when one is tried
+        and accepted.
     max_iter : int
         Cap on the number of plain ALS steps; hitting it marks the fit as
         non-converged.
@@ -156,10 +171,13 @@ def fit_factor_model(
     Returns
     -------
     FactorFit
-        The slope vector of the objective-minimizing iterate seen, with the
-        matching loadings, factors, and residual.  ``objective_trace`` holds
-        the profile objective of every accepted iterate, starting from
-        pooled OLS, so it never increases.
+        The slope vector of the last iterate, with the matching loadings,
+        factors, and residual.  ``objective_trace`` holds the profile
+        objective of every accepted iterate, starting from pooled OLS, so it
+        never increases beyond rounding; the last iterate is returned rather
+        than the lowest entry, because near the limit the entries differ by
+        rounding alone and an earlier iterate is farther from the fixed
+        point.
 
     Raises
     ------
@@ -197,19 +215,24 @@ def fit_factor_model(
             objective_trace=[objective],
         )
 
-    # Cross-Gram blocks: everything the SVD step needs about the residual's
-    # row space, assembled once.
-    g_aa = a @ a.T
-    g_ab = [a @ bk.T for bk in bs]
-    g_bb = [[bs[k] @ bs[l].T for l in range(n_reg)] for k in range(n_reg)]
+    # Row-Gram blocks A A', A B_k' and B_k B_l' (k <= l), each symmetrized
+    # once: a quadratic form sees only a block's symmetric part, and both the
+    # residual row Gram matrix and the OLS step's projected inner products are
+    # such forms in them.
+    pairs = [(k, l) for k in range(n_reg) for l in range(k, n_reg)]
+    blocks = np.empty((1 + n_reg + len(pairs), n_rows, n_rows))
+    blocks[0] = a @ a.T
+    for k, bk in enumerate(bs):
+        blocks[1 + k] = a @ bk.T
+    for j, (k, l) in enumerate(pairs):
+        blocks[1 + n_reg + j] = bs[k] @ bs[l].T
+    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    flat_blocks = blocks.reshape(len(blocks), -1)
 
     def residual_row_gram(b: np.ndarray) -> np.ndarray:
-        s = g_aa.copy()
-        for k in range(n_reg):
-            s -= b[k] * (g_ab[k] + g_ab[k].T)
-            for l in range(n_reg):
-                s += b[k] * b[l] * g_bb[k][l]
-        return 0.5 * (s + s.T)
+        # (A - sum b_k B_k)(A - sum b_k B_k)' as one combination of the blocks.
+        cross = [(2.0 if k < l else 1.0) * b[k] * b[l] for k, l in pairs]
+        return (np.concatenate(([1.0], -2.0 * b, cross)) @ flat_blocks).reshape(n_rows, n_rows)
 
     def profile(b: np.ndarray) -> tuple[float, np.ndarray]:
         # Profile objective (the discarded eigenvalue mass) and the top basis.
@@ -218,20 +241,20 @@ def fit_factor_model(
         return max(float(np.trace(s) - np.sum(eigvals[-n_factors:])), 0.0), eigvecs[:, -n_factors:]
 
     def als_step(b: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        # Pooled OLS against the data net of the current low-rank component:
-        # inner products with the projected residual only need the r x M
-        # images of the flattenings under the current basis.
-        t_a = basis.T @ a
-        t_b = [basis.T @ bk for bk in bs]
-        proj_resid = net_of(t_a, t_b, b)
-        low_rank_part = np.array([np.vdot(t_b[k], proj_resid) for k in range(n_reg)])
+        # Pooled OLS against the data net of the current low-rank component;
+        # <Q'B_k, Q'R> = <Q, W_k Q> is read off the blocks' compressions.
+        quad = np.einsum("jik,ik->j", blocks[1:] @ basis, basis)
+        q_bb = np.empty((n_reg, n_reg))
+        for j, (k, l) in enumerate(pairs):
+            q_bb[k, l] = q_bb[l, k] = quad[n_reg + j]
+        low_rank_part = quad[:n_reg] - q_bb @ b
         # The Gram matrix is constant and passed the policy in the first solve.
         return np.linalg.solve(gram, rhs - low_rank_part)
 
     objective, basis = profile(beta)
     trace = [objective]
-    best_beta, best_objective = beta, objective
     history: list[tuple[np.ndarray, np.ndarray]] = []  # accepted (beta, G(beta)) pairs
+    extrapolating = False  # the last candidate passed the objective safeguard
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
@@ -241,30 +264,30 @@ def fit_factor_model(
         history = history[-ANDERSON_MEMORY:] + [(beta, step)]
         beta = step
         objective, basis = profile(step)
-        if not converged and _settled(history):
+        # An accepted jump breaks the steady ratio _settled looks for, so once
+        # one is accepted the next candidates skip that gate, the stopping
+        # iteration's too; a rejection clears the history and re-arms it.
+        if extrapolating or (not converged and _settled(history)):
             candidate = _anderson(history)
             cand_objective, cand_basis = profile(candidate)
-            if cand_objective <= objective:
+            extrapolating = cand_objective <= objective
+            if extrapolating:
                 beta, objective, basis = candidate, cand_objective, cand_basis
             else:
                 history = []
         trace.append(objective)
-        if objective < best_objective:
-            best_objective = objective
-            best_beta = beta
         if converged:
             break
 
-    # One honest thin SVD at the winning slope vector: the Gram eigenbasis is
-    # only a device for the loop, reported quantities come from the residual
-    # itself.
-    resid_mat = net_of(a, bs, best_beta)
+    # One honest thin SVD at the last iterate: the Gram eigenbasis is only a
+    # device for the loop, reported quantities come from the residual itself.
+    resid_mat = net_of(a, bs, beta)
     svd = truncated_svd(resid_mat, n_factors)
     loadings = svd.u * svd.s
     factors = svd.v
     defactored = resid_mat - loadings @ factors.T
     return FactorFit(
-        beta=best_beta,
+        beta=beta,
         loadings=loadings,
         factors=factors,
         residual=unflatten(defactored, flatten_dim, y_arr.shape),

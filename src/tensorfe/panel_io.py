@@ -72,9 +72,9 @@ def load_panel_csv(path, index_cols, y_col: str, x_cols) -> tuple[PanelFrame, np
     Raises
     ------
     PanelFormatError
-        On missing or repeated columns, unparseable or non-finite values,
-        duplicate cells, or an incomplete grid; messages cite the offending
-        row or labels.
+        On a column requested twice, missing or repeated header columns,
+        unparseable or non-finite values, duplicate cells, or an incomplete
+        grid; messages cite the offending row or labels.
     """
     index_cols = list(index_cols)
     x_cols = list(x_cols)
@@ -82,6 +82,10 @@ def load_panel_csv(path, index_cols, y_col: str, x_cols) -> tuple[PanelFrame, np
         raise PanelFormatError("need at least one index column")
     if not x_cols:
         raise PanelFormatError("need at least one regressor column")
+    requested = index_cols + [y_col] + x_cols
+    twice = [c for c in dict.fromkeys(requested) if requested.count(c) > 1]
+    if twice:
+        raise PanelFormatError(f"column(s) {twice} requested more than once among the index, outcome and regressors")
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -90,7 +94,6 @@ def load_panel_csv(path, index_cols, y_col: str, x_cols) -> tuple[PanelFrame, np
         except StopIteration:
             raise PanelFormatError(f"{path}: empty file") from None
         header_lines = reader.line_num  # a quoted header name may span lines
-    requested = index_cols + [y_col] + x_cols
     missing_cols = [c for c in requested if c not in header]
     if missing_cols:
         raise PanelFormatError(f"{path}: missing column(s) {missing_cols}; header has {header}")

@@ -120,3 +120,28 @@ def test_header_only_file_is_rejected(tmp_path):
     path.write_text("store,product,week,y,x1\n")
     with pytest.raises(PanelFormatError):
         load_panel_csv(path, INDEX, "y", ["x1"])
+
+
+def complete_panel(tmp_path):
+    """A complete 2 x 3 x 2 panel with index columns a, b, c."""
+    rows = [f"{i},{j},{k},{i + j + k}.0,{i * j * k}.0" for i in (1, 2) for j in (1, 2, 3) for k in (1, 2)]
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(["a,b,c,y,x1"] + rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "index_cols, x_cols, repeated",
+    [(["a", "a", "c"], ["x1"], "'a'"), (["a", "b", "c"], ["x1", "x1"], "'x1'"), (["a", "b", "c"], ["y"], "'y'")],
+    ids=["index", "regressor", "outcome-as-regressor"],
+)
+def test_column_requested_twice_is_rejected_before_reading_rows(tmp_path, monkeypatch, index_cols, x_cols, repeated):
+    path = complete_panel(tmp_path)
+    load_panel_csv(path, ["a", "b", "c"], "y", ["x1"])  # the file itself is fine
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows read before the column names were checked")
+
+    monkeypatch.setattr("tensorfe.panel_io._read_grid", no_rows)
+    with pytest.raises(PanelFormatError, match=f"{repeated}.*requested more than once"):
+        load_panel_csv(path, index_cols, "y", x_cols)
