@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fit gate for the factor fit: fit_factor_model against a plain-ALS reference.
 
-Fits every flatten dimension at each rank on a fixed set of panels (growing
+Fits every flatten dimension at ranks 1 and 2 on a fixed set of panels (growing
 40^3, 20x15x25 and 30^3; fixed 30^3 and 12^4; growing 80x30x100 with a second,
 promotion-like regressor) and compares each fit with plain alternating least
 squares written here with numpy alone: a full ``np.linalg.svd`` of the
@@ -39,6 +39,7 @@ PANELS = [
     ("fixed-12^4", "fixed", (12, 12, 12, 12), 1),
     ("growing-80x30x100-K2", "growing", (80, 30, 100), 2),
 ]
+RANKS = (1, 2)
 
 
 def panel(design, dims, n_reg, seed):
@@ -79,13 +80,13 @@ def reference_als(y, xs, dim, rank, tol=1e-13, max_iter=100_000):
     return beta, float(np.sum(s[rank:] ** 2)), converged
 
 
-def run(seeds, ranks):
+def run(seeds):
     records = []
     for name, design, dims, n_reg in PANELS:
         for seed in seeds:
             y, xs = panel(design, dims, n_reg, seed)
             for dim in range(1, len(dims) + 1):
-                for rank in ranks:
+                for rank in RANKS:
                     t0 = time.perf_counter()
                     fit = fit_factor_model(y, xs, dim, rank)
                     seconds = time.perf_counter() - t0
@@ -150,14 +151,12 @@ def gate(records, baseline):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", default="0,1,2", help="comma-separated draw seeds (default: 0,1,2)")
-    ap.add_argument("--ranks", default="1,2", help="comma-separated factor counts (default: 1,2)")
     ap.add_argument("--save", help="write every fit's record to this JSON file")
     ap.add_argument("--baseline", help="JSON file from --save on another checkout to compare against")
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    ranks = [int(r) for r in args.ranks.split(",")]
 
-    records = run(seeds, ranks)
+    records = run(seeds)
     print(f"{'panel':<22} {'fits':>5} {'worst err':>10} {'median err':>10} {'obj ratio-1':>11} "
           f"{'iters':>6} {'med':>4} {'max':>5} {'converged':>10} {'fit s':>7}")
     for name, *_ in PANELS:

@@ -162,8 +162,8 @@ def fit_factor_model(
     tol : float
         The fit stops once a plain ALS step moves the slope vector by at
         most ``tol * max(||beta||, 1)`` (Euclidean norm); that step's result
-        is the last iterate, or the extrapolation from it when one is tried
-        and accepted.
+        is the last iterate, or the extrapolation from it when one is tried,
+        accepted, and within the same distance of that result.
     max_iter : int
         Cap on the number of plain ALS steps; hitting it marks the fit as
         non-converged.
@@ -226,7 +226,9 @@ def fit_factor_model(
         blocks[1 + k] = a @ bk.T
     for j, (k, l) in enumerate(pairs):
         blocks[1 + n_reg + j] = bs[k] @ bs[l].T
-    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    for block in blocks:
+        block += block.T
+        block *= 0.5
     flat_blocks = blocks.reshape(len(blocks), -1)
 
     def residual_row_gram(b: np.ndarray) -> np.ndarray:
@@ -251,6 +253,9 @@ def fit_factor_model(
         # The Gram matrix is constant and passed the policy in the first solve.
         return np.linalg.solve(gram, rhs - low_rank_part)
 
+    def within_tol(new: np.ndarray, old: np.ndarray) -> bool:
+        return np.linalg.norm(new - old) <= tol * max(np.linalg.norm(old), 1.0)
+
     objective, basis = profile(beta)
     trace = [objective]
     history: list[tuple[np.ndarray, np.ndarray]] = []  # accepted (beta, G(beta)) pairs
@@ -259,18 +264,19 @@ def fit_factor_model(
     converged = False
     for iterations in range(1, max_iter + 1):
         step = als_step(beta, basis)
-        delta = float(np.linalg.norm(step - beta))
-        converged = delta <= tol * max(np.linalg.norm(beta), 1.0)
+        converged = within_tol(step, beta)
         history = history[-ANDERSON_MEMORY:] + [(beta, step)]
         beta = step
         objective, basis = profile(step)
         # An accepted jump breaks the steady ratio _settled looks for, so once
         # one is accepted the next candidates skip that gate, the stopping
-        # iteration's too; a rejection clears the history and re-arms it.
+        # iteration's too; a rejection clears the history and re-arms it.  On
+        # the stopping iteration the candidate may only refine the tested step
+        # within tol, so tol still bounds the returned slopes.
         if extrapolating or (not converged and _settled(history)):
             candidate = _anderson(history)
             cand_objective, cand_basis = profile(candidate)
-            extrapolating = cand_objective <= objective
+            extrapolating = cand_objective <= objective and (not converged or within_tol(candidate, step))
             if extrapolating:
                 beta, objective, basis = candidate, cand_objective, cand_basis
             else:
