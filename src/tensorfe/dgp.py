@@ -22,12 +22,14 @@ through a short moving-average window.
 Randomness is fully determined by the supplied seed: draws happen in a fixed
 order (per-dimension loadings with one presample row each, then the
 idiosyncratic regressor part over the lag-extended grid, then the error
-innovations, then the cross-section relabelings).
+innovations, then the cross-section relabelings).  The relabelings are drawn
+last but applied before any composition: they permute the rows of the first
+two loading matrices and gather the idiosyncratic part and the error once
+each, so every delivered tensor is built already relabelled.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,10 +49,9 @@ class DgpConfig:
     ``growing``, the size of dimension 1 for ``fixed``).  ``rho`` scales the
     lagged factor term of the growing design's regressor and is ignored by
     the fixed design.  ``permute_cross_sections`` relabels the units of the
-    first two dimensions after construction (jointly across all delivered
-    tensors), hiding the cross-section correlation structure from
-    adjacency-based variance estimators without changing any estimator's
-    point distribution.
+    first two dimensions (jointly across all delivered tensors), hiding the
+    cross-section correlation structure from adjacency-based variance
+    estimators without changing any estimator's point distribution.
     """
 
     design: str = "growing"
@@ -115,36 +116,45 @@ def _moving_average_error(rng: np.random.Generator, dims: tuple[int, ...]) -> np
     Innovations live on the lag-extended grid with standard deviation
     ``min(2, |idiosyncratic regressor part|)`` cell by cell (variance
     ``min(4, .^2)``); the error sums the innovations over every 0/1 lag
-    combination, scaled by ``1/sqrt(2)``.
+    combination, scaled by ``1/sqrt(2)``.  That box sum is separable, so it
+    runs as one pairwise sum of neighbours per dimension.
 
     Returns the interior idiosyncratic part alongside the error.
     """
     ext_shape = tuple(n + 1 for n in dims)
     idio_ext = rng.standard_normal(ext_shape)
-    innovations = rng.standard_normal(ext_shape) * np.minimum(2.0, np.abs(idio_ext))
-    err = np.zeros(dims)
-    for shifts in itertools.product((0, 1), repeat=len(dims)):
-        window = tuple(slice(1 - s, n + 1 - s) for s, n in zip(shifts, dims))
-        err += innovations[window]
+    err = rng.standard_normal(ext_shape) * np.minimum(2.0, np.abs(idio_ext))
+    for axis in range(len(dims)):
+        head = (slice(None),) * axis
+        err = err[head + (slice(1, None),)] + err[head + (slice(None, -1),)]
     err /= math.sqrt(2.0)
     interior = tuple(slice(1, None) for _ in dims)
     return idio_ext[interior], err
 
 
-def _relabel_cross_sections(rng: np.random.Generator, tensors: list[np.ndarray]) -> list[np.ndarray]:
-    """Jointly relabel the first two dimensions of every tensor.
+def _cells_and_loadings(rng: np.random.Generator, config: DgpConfig, loadings):
+    """Draw the error, then the relabelling, and apply it to every cell-level part.
 
-    One uniform permutation per dimension, shared across tensors: the panel's
-    content is unchanged (every estimator sees the same cells), but index
-    adjacency no longer reveals which units are correlated — the
+    Returns the contemporaneous loadings ``m[1:]``, the lag-summed loadings
+    ``m[1:] + m[:-1]``, the idiosyncratic regressor part and the error.  With
+    ``permute_cross_sections`` one uniform permutation per dimension relabels
+    the first two dimensions of all of them: it permutes the rows of the
+    first two loading matrices and gathers the two drawn tensors once each.
+    The panel's content is unchanged (every estimator sees the same cells),
+    but index adjacency no longer reveals which units are correlated — the
     "unknown cross-correlation structure" regime that lag-based variance
     estimators cannot exploit.
     """
-    out = tensors
-    for axis in (0, 1):
-        perm = rng.permutation(out[0].shape[axis])
-        out = [np.take(t, perm, axis=axis) for t in out]
-    return out
+    idio, err = _moving_average_error(rng, config.dims)
+    now = [m[1:] for m in loadings]
+    lag_sum = [m[1:] + m[:-1] for m in loadings]
+    if config.permute_cross_sections:
+        labels = [rng.permutation(n) for n in config.dims[:2]]
+        for mats in (now, lag_sum):
+            mats[0], mats[1] = mats[0][labels[0]], mats[1][labels[1]]
+        cells = np.ix_(*labels)
+        idio, err = idio[cells], err[cells]
+    return now, lag_sum, idio, err
 
 
 def draw_growing(config: DgpConfig, seed=0) -> DgpDraw:
@@ -162,13 +172,10 @@ def draw_growing(config: DgpConfig, seed=0) -> DgpDraw:
     n_comp = config.resolved_components
 
     loadings = [rng.standard_normal((n + 1, n_comp)) for n in dims]
-    effects = cp_compose([m[1:] for m in loadings])
-    lagged = cp_compose([m[1:] + m[:-1] for m in loadings])
-    idio, err = _moving_average_error(rng, dims)
-    x = 2.0 * effects - config.rho * lagged + idio
+    now, lag_sum, idio, err = _cells_and_loadings(rng, config, loadings)
+    effects = cp_compose(now)
+    x = 2.0 * effects - config.rho * cp_compose(lag_sum) + idio
     y = config.beta_true * x + effects + err
-    if config.permute_cross_sections:
-        y, x, effects, err = _relabel_cross_sections(rng, [y, x, effects, err])
     return DgpDraw(
         outcome=y,
         regressors=[x],
@@ -201,15 +208,13 @@ def draw_fixed(config: DgpConfig, seed=0) -> DgpDraw:
     loadings = [np.outer(unit_effects, comp_effects)]
     loadings += [rng.standard_normal((n + 1, n_comp)) for n in dims[1:]]
 
-    effects_raw = cp_compose([m[1:] for m in loadings])
+    now, lag_sum, idio, err = _cells_and_loadings(rng, config, loadings)
+    effects_raw = cp_compose(now)
     effects = effects_raw / np.std(effects_raw, ddof=1)
-    lagged_raw = cp_compose([m[1:] + m[:-1] for m in loadings])
+    lagged_raw = cp_compose(lag_sum)
     lagged = lagged_raw / np.std(lagged_raw, ddof=1)
-    idio, err = _moving_average_error(rng, dims)
     x = effects + lagged + idio
     y = config.beta_true * x + effects + err
-    if config.permute_cross_sections:
-        y, x, effects, err = _relabel_cross_sections(rng, [y, x, effects, err])
     return DgpDraw(
         outcome=y,
         regressors=[x],

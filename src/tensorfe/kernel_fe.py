@@ -88,15 +88,22 @@ def _pairwise_distances(u: np.ndarray) -> np.ndarray:
 
     Single-column proxies take the absolute-difference path so that the
     per-column estimator and the vector-norm estimator agree exactly when
-    there is one proxy column.
+    there is one proxy column.  Wider proxies use the Gram identity
+    ``|u_i - u_j|^2 = |u_i|^2 + |u_j|^2 - 2 u_i'u_j`` on the column-centred
+    rows (distances are translation invariant, and centring keeps the
+    cancellation small), clamped at zero; it needs ``O(N^2)`` memory rather
+    than an ``N x N x r`` difference array.  The squared norms are the Gram
+    diagonal, so the diagonal distance is exactly zero.
     """
     if u.ndim == 1:
         u = u[:, None]
     if u.shape[1] == 1:
         col = u[:, 0]
         return np.abs(col[:, None] - col[None, :])
-    diff = u[:, None, :] - u[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    u = u - u.mean(axis=0)
+    gram = u @ u.T
+    sq_norms = np.diag(gram)
+    return np.sqrt(np.maximum(sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram, 0.0))
 
 
 def _normalize_rows(kmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

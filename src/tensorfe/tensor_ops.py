@@ -36,6 +36,7 @@ Every estimator is built from five shared steps, each done in one place:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +110,7 @@ def unflatten(m, dim: int, shape) -> np.ndarray:
     shape = tuple(int(s) for s in shape)
     dim = check_dim(dim, len(shape))
     n_rows = shape[dim - 1]
-    n_cols = int(np.prod(shape)) // n_rows if n_rows else 0
+    n_cols = math.prod(shape[: dim - 1] + shape[dim:])
     if mat.shape != (n_rows, n_cols):
         raise TensorShapeError(
             f"matrix shape {mat.shape} incompatible with tensor shape {shape} "
@@ -126,19 +127,31 @@ def mode_product(t, mat, dim: int) -> np.ndarray:
 
     The result replaces the size of mode ``dim`` by ``mat.shape[0]``; it is
     the tensor whose mode-``dim`` flattening equals ``mat @ flatten(t, dim)``.
+
+    The tensor is viewed as ``(pre, N_dim, post)`` (``pre`` and ``post`` the
+    products of the sizes before and after ``dim``) and multiplied as one
+    ``np.matmul`` of ``mat`` against that view, or as ``view @ mat.T`` when
+    ``dim`` is the last mode.  Nothing is transposed: the result is always
+    C-contiguous, at ``2 * k * cells`` flops for a ``k``-row ``mat``, and a
+    non-contiguous input costs one extra copy to reach the view.
     """
     arr = as_tensor(t)
     dim = check_dim(dim, arr.ndim)
     m = as_tensor(mat, name="matrix")
     if m.ndim != 2:
         raise TensorShapeError(f"mode factor must be a matrix, got order {m.ndim}")
-    if m.shape[1] != arr.shape[dim - 1]:
+    n = arr.shape[dim - 1]
+    if m.shape[1] != n:
         raise TensorShapeError(
             f"matrix with {m.shape[1]} columns cannot act on dimension {dim} "
-            f"of size {arr.shape[dim - 1]}"
+            f"of size {n}"
         )
-    out = np.tensordot(m, arr, axes=(1, dim - 1))
-    return np.moveaxis(out, 0, dim - 1)
+    pre, post = math.prod(arr.shape[: dim - 1]), math.prod(arr.shape[dim:])
+    if post == 1:
+        out = arr.reshape(pre, n) @ m.T
+    else:
+        out = np.matmul(m, arr.reshape(pre, n, post))
+    return out.reshape(arr.shape[: dim - 1] + (m.shape[0],) + arr.shape[dim:])
 
 
 def cp_compose(factor_matrices) -> np.ndarray:
@@ -147,6 +160,12 @@ def cp_compose(factor_matrices) -> np.ndarray:
     ``factor_matrices[n]`` has shape ``(N_{n+1}, L)``; component ``l`` of the
     result is the outer product of the ``l``-th columns, and the output is the
     sum over all ``L`` components.
+
+    The mode-1 flattening of that sum (in C order over the other modes) is
+    ``A_1 @ KR.T``, where ``KR`` is the Khatri–Rao (column-wise Kronecker)
+    product of ``A_2, ..., A_d``: row ``(i_2, ..., i_d)`` of ``KR`` holds
+    ``prod_n A_n[i_n, :]``.  ``KR`` is built one mode at a time by broadcast
+    products and the sum over components is one GEMM.
     """
     mats = [as_tensor(m, name=f"factor matrix {i + 1}") for i, m in enumerate(factor_matrices)]
     if not mats:
@@ -157,12 +176,11 @@ def cp_compose(factor_matrices) -> np.ndarray:
     widths = {m.shape[1] for m in mats}
     if len(widths) != 1:
         raise TensorShapeError(f"factor matrices disagree on component count: {sorted(widths)}")
-    letters = "abcdefghijklmnopqrstuvw"
-    if len(mats) > len(letters):
-        raise TensorShapeError("too many dimensions for cp_compose")
-    spec = ",".join(f"{letters[i]}z" for i in range(len(mats)))
-    out_spec = "".join(letters[: len(mats)])
-    return np.einsum(f"{spec}->{out_spec}", *mats)
+    width = widths.pop()
+    khatri_rao = np.ones((1, width))
+    for m in mats[1:]:
+        khatri_rao = (khatri_rao[:, None, :] * m[None, :, :]).reshape(khatri_rao.shape[0] * m.shape[0], width)
+    return (mats[0] @ khatri_rao.T).reshape(tuple(m.shape[0] for m in mats))
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Simulation designs: construction identities and calibrated moments."""
 
+import itertools
 from statistics import NormalDist
 
 import numpy as np
@@ -22,6 +23,64 @@ def noise_variance_target():
     phi2, big_phi2 = nd.pdf(2.0), nd.cdf(2.0)
     e_min = (2.0 * big_phi2 - 1.0) - 4.0 * phi2 + 8.0 * (1.0 - big_phi2)
     return 4.0 * e_min
+
+
+def reference_draw(config, seed_seq):
+    """The documented construction, literally and slowly.
+
+    Loadings (dimension 1 rank one in the fixed design), then the
+    idiosyncratic part and the innovations on the lag-extended grid, then
+    the relabelling permutations: CP parts by einsum, the error as a sum of
+    all ``2^d`` shifted windows, and the relabelling as ``np.take`` on each
+    of the four delivered tensors.  Returns ``[y, x, effects, noise]``.
+    """
+    rng = np.random.default_rng(seed_seq)
+    dims, n_comp = config.dims, config.resolved_components
+    if config.design == "growing":
+        loadings = [rng.standard_normal((n + 1, n_comp)) for n in dims]
+    else:
+        unit_effects, comp_effects = rng.standard_normal(dims[0] + 1), rng.standard_normal(n_comp)
+        loadings = [np.outer(unit_effects, comp_effects)]
+        loadings += [rng.standard_normal((n + 1, n_comp)) for n in dims[1:]]
+    letters = "abcdefgh"[: len(dims)]
+    spec = ",".join(f"{c}z" for c in letters) + f"->{letters}"
+    effects = np.einsum(spec, *(m[1:] for m in loadings))
+    lagged = np.einsum(spec, *(m[1:] + m[:-1] for m in loadings))
+    ext_shape = tuple(n + 1 for n in dims)
+    idio_ext = rng.standard_normal(ext_shape)
+    innovations = rng.standard_normal(ext_shape) * np.minimum(2.0, np.abs(idio_ext))
+    noise = np.zeros(dims)
+    for shifts in itertools.product((0, 1), repeat=len(dims)):
+        noise += innovations[tuple(slice(1 - s, n + 1 - s) for s, n in zip(shifts, dims))]
+    noise /= np.sqrt(2.0)
+    idio = idio_ext[(slice(1, None),) * len(dims)]
+    if config.design == "growing":
+        x = 2.0 * effects - config.rho * lagged + idio
+    else:
+        effects = effects / np.std(effects, ddof=1)
+        x = effects + lagged / np.std(lagged, ddof=1) + idio
+    tensors = [config.beta_true * x + effects + noise, x, effects, noise]
+    if config.permute_cross_sections:
+        for axis in (0, 1):
+            perm = rng.permutation(dims[axis])
+            tensors = [np.take(t, perm, axis=axis) for t in tensors]
+    return tensors
+
+
+@pytest.mark.parametrize(
+    "design, dims, rho",
+    [("growing", (9, 12, 7), 0.7), ("fixed", (9, 8, 11), 1.0), ("fixed", (5, 6, 4, 3), 1.0)],
+)
+@pytest.mark.parametrize("permute", [True, False])
+def test_draw_matches_the_literal_construction(design, dims, rho, permute):
+    cfg = DgpConfig(design=design, dims=dims, rho=rho, permute_cross_sections=permute)
+    for seed in range(3):
+        panel = draw(cfg, np.random.SeedSequence([seed, 4]))
+        expected = reference_draw(cfg, np.random.SeedSequence([seed, 4]))
+        got = [panel.outcome, panel.regressors[0], panel.effects, panel.noise]
+        for g, e in zip(got, expected):
+            assert g.shape == dims
+            assert_allclose(g, e, rtol=0, atol=1e-13 * np.max(np.abs(e)))
 
 
 def test_draw_is_deterministic_in_the_seed():

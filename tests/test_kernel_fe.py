@@ -9,6 +9,7 @@ from tensorfe.errors import DegenerateWeightsError, EstimationError
 from tensorfe.factor import ProxySet, residual_proxies
 from tensorfe.kernel_fe import (
     KernelSpec,
+    _pairwise_distances,
     ProjectionSet,
     WeightSet,
     iterative_kernel_fe,
@@ -98,6 +99,26 @@ def test_rows_sum_to_one(seed, bandwidth):
     w = kernel_weights(proxy_set(columns), spec)
     for dim in (1, 2):
         assert_allclose(w.for_dim(dim).sum(axis=1), 1.0, atol=1e-12)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.sampled_from([0.0, 1e3]))
+def test_pairwise_distances_match_the_difference_array(seed, width, offset):
+    """Symmetric, zero on the diagonal, and equal to the norms of the explicit row differences.
+
+    One column is the exact ``|u_i - u_j|``; wider proxies may differ by
+    rounding in the squared norms, also when every row sits far from the origin.
+    """
+    rng = np.random.default_rng(seed)
+    u = offset + rng.standard_normal((9, width))
+    diff = u[:, None, :] - u[None, :, :]
+    expected = np.sqrt(np.sum(diff**2, axis=-1))
+    got = _pairwise_distances(u)
+    assert_array_equal(got, got.T)
+    assert_array_equal(np.diag(got), 0.0)
+    if width == 1:
+        assert_array_equal(got, expected)
+    else:
+        assert_allclose(got, expected, rtol=1e-10, atol=1e-10)
 
 
 @given(st.integers(0, 2**31 - 1))

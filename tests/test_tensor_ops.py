@@ -89,13 +89,32 @@ def test_mode_product_all_ones():
     assert_array_equal(out, np.full((2, 2, 2), 2.0))
 
 
-@given(st.integers(0, 2**31 - 1), st.integers(1, 3))
-def test_mode_product_flattening_identity(seed, dim):
+def layout(rng, shape, kind):
+    """A tensor of ``shape`` laid out as a C-contiguous array, a transposed view or a strided view."""
+    if kind == "transposed":
+        return rng.standard_normal(shape[::-1]).T
+    if kind == "strided":
+        return rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::-2]
+    return rng.standard_normal(shape)
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(["contiguous", "transposed", "strided"]),
+    st.data(),
+)
+def test_mode_product_flattening_identity(shape, seed, kind, data):
     rng = np.random.default_rng(seed)
-    t = rng.standard_normal((3, 4, 2))
-    mat = rng.standard_normal((5, t.shape[dim - 1]))
-    lhs = flatten(mode_product(t, mat, dim), dim)
-    assert_allclose(lhs, mat @ flatten(t, dim), atol=1e-10)
+    t = layout(rng, tuple(shape), kind)
+    dim = data.draw(st.integers(1, t.ndim), label="dim")
+    k = data.draw(st.integers(0, 5), label="rows")
+    mat = rng.standard_normal((k, t.shape[dim - 1]))
+    out = mode_product(t, mat, dim)
+    out_shape = t.shape[: dim - 1] + (k,) + t.shape[dim:]
+    assert out.shape == out_shape
+    assert out.flags.c_contiguous
+    assert_allclose(out, unflatten(mat @ flatten(t, dim), dim, out_shape), rtol=1e-12, atol=1e-12)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -123,11 +142,17 @@ def test_cp_compose_rank_one_example():
 
 def test_cp_compose_matches_sum_of_outer_products():
     rng = np.random.default_rng(7)
-    t, mats = random_cp(rng, (3, 4, 2), 3)
-    direct = np.zeros((3, 4, 2))
-    for comp in range(3):
-        direct += np.einsum("i,j,k->ijk", *(m[:, comp] for m in mats))
-    assert_allclose(t, direct, atol=1e-12)
+    for shape in [(3,), (3, 4), (3, 4, 2), (2, 1, 3, 2), (2, 3, 1, 2, 2)]:
+        for n_comp in (0, 1, 3):
+            t, mats = random_cp(rng, shape, n_comp)
+            direct = np.zeros(shape)
+            for comp in range(n_comp):
+                outer = np.ones(())
+                for m in mats:
+                    outer = np.multiply.outer(outer, m[:, comp])
+                direct += outer
+            assert t.shape == shape
+            assert_allclose(t, direct, atol=1e-12)
 
 
 def test_multilinear_rank_of_two_component_sum():
