@@ -3,10 +3,12 @@
 
 Fits every flatten dimension at ranks 1 and 2 on a fixed set of panels (growing
 40^3, 20x15x25 and 30^3; fixed 30^3 and 12^4; growing 80x30x100 with a second,
-promotion-like regressor) and compares each fit with plain alternating least
-squares written here with numpy alone: a full ``np.linalg.svd`` of the
-flattened residual, then pooled OLS net of its top-``r`` part, from pooled
-OLS until a step moves the slopes by at most ``1e-13`` relative.
+promotion-like regressor; growing 400x10x10, whose dimension-1 flattening is
+tall, so its row Gram matrix has exact zero eigenvalues) and compares each fit
+with plain alternating least squares written here with numpy alone: a full
+``np.linalg.svd`` of the flattened residual, then pooled OLS net of its
+top-``r`` part, from pooled OLS until a step moves the slopes by at most
+``1e-13`` relative.
 
 The gate fails (exit status 1) when a slope vector is more than ``1e-7``
 (max-abs) from the reference or a fit or its reference does not converge.  With
@@ -38,6 +40,7 @@ PANELS = [
     ("fixed-30^3", "fixed", (30, 30, 30), 1),
     ("fixed-12^4", "fixed", (12, 12, 12, 12), 1),
     ("growing-80x30x100-K2", "growing", (80, 30, 100), 2),
+    ("growing-400x10x10", "growing", (400, 10, 10), 1),  # dimension 1: N_n = 400 > M = 100
 ]
 RANKS = (1, 2)
 

@@ -1,30 +1,32 @@
 """Least-squares interactive fixed-effects estimation on a flattened tensor.
 
-The estimator alternates two exact minimization steps on the mode-``n``
-flattening of the data (Bai 2009, Econometrica 77(4)): a pooled-OLS update
-of the slope coefficients given the current low-rank component, and a
-truncated-SVD update of the low-rank component given the slopes.  The loop
-never touches the ``N_n x M`` flattenings.  With ``A`` and ``B_k`` the
-flattened outcome and regressors, the residual's row Gram matrix at ``beta``
-and the OLS step's projected inner products are both quadratic forms in the
-``N_n x N_n`` blocks ``A A'``, ``A B_k'`` and ``B_k B_l'`` (``k <= l``),
-formed and symmetrized once; an iteration costs one ``eigh`` of a
-combination of them plus their ``r x r`` compressions.  The reported
-loadings, factors, and residual come from one genuine thin SVD at the last
-iterate.
+The estimator minimizes the profile objective ``f(beta)``, the residual mass
+left after removing the best rank-``r`` approximation of the mode-``n``
+flattening of the data net of the regression part (Bai 2009, Econometrica
+77(4)).  The loop never touches the ``N_n x M`` flattenings.  With ``A`` and
+``B_k`` the flattened outcome and regressors, the residual's row Gram matrix
+``S(beta)`` is a quadratic form in the ``N_n x N_n`` blocks ``A A'``,
+``A B_k'`` and ``B_k B_l'`` (``k <= l``), formed and symmetrized once, and
+``f(beta) = tr S(beta) - sum_{i <= r} lambda_i(S(beta))``.  Everything an
+iteration needs besides one ``eigh`` of ``S`` is a product of those blocks
+with its eigenvectors.  The reported loadings, factors, and residual come
+from one genuine thin SVD at the last iterate.
 
-The alternation is a fixed-point map ``beta -> G(beta)`` that converges
-linearly, often slowly.  Anderson extrapolation (Walker & Ni 2011, SIAM J.
-Numer. Anal. 49(4)) over the last few iterates shortens it, under two
-safeguards that keep the fit on ALS's own limit: extrapolation starts only
-once the plain steps shrink at a steady ratio, and an extrapolated point is
-accepted only when its profile objective is no worse than that of the plain
-step from the same iterate.  Without the first, a secant step taken while
-ALS is still moving away from an unstable fixed point can jump across it
-into another basin of the objective.  An accepted jump itself breaks the
-steady ratio, so after one a candidate is tried on every iteration until
-one fails the objective test; that clears the history and re-arms the first
-safeguard.
+The plain alternating step ``beta -> G(beta)`` (top-``r`` subspace, then
+pooled OLS net of it) descends ``f`` but converges linearly, often slowly.
+Because ``gram (G(beta) - beta)`` is minus half the gradient of ``f``, the
+Newton step on ``f`` is ``beta + H^{-1} gram (G(beta) - beta)``, where
+``2H`` is the exact Hessian that eigenvalue perturbation gives from the
+eigenpairs of ``S(beta)`` (Moon & Weidner 2015, Econometrica 83(4), expand
+the same objective).  Two safeguards guard the Newton point: it is tried
+only where ``H`` is positive definite and every kept/discarded eigenvalue
+gap is positive, so that ``f`` is smooth and locally convex there, and it is
+taken only when its profile objective is no larger than the current
+iterate's; otherwise the iteration takes the plain step.  The fit stops
+once a plain step moves the slopes by at most ``tol`` (relative); on that
+iteration a Newton point is kept only within ``tol`` of the plain step, so
+``tol`` bounds the last plain step either way, not the distance to the
+limit.
 """
 
 from __future__ import annotations
@@ -49,14 +51,14 @@ from .tensor_ops import (
 
 @dataclass
 class FactorFit:
-    """Result of the alternating least-squares interactive-effects fit.
+    """Result of the least-squares interactive-effects fit.
 
     ``loadings`` (rows of the flattening) carry the singular-value scale;
     ``factors`` (columns) are orthonormal, so the estimated low-rank component
     is ``loadings @ factors.T`` in the flattened geometry.  ``residual`` is the
     full-shape tensor left after removing both the regression part and the
     low-rank part.  ``objective`` is the sum of squared discarded singular
-    values of the defactored residual — the quantity the alternation descends.
+    values of the defactored residual — the quantity the fit descends.
     """
 
     beta: np.ndarray
@@ -77,38 +79,29 @@ class FactorFit:
         return unflatten(mat, self.flatten_dim, self.residual.shape)
 
 
-ANDERSON_MEMORY = 3
-SETTLED_RATIO_RTOL = 0.05
+def _half_hessian(gram, q_bb, wq, eigvals, eigvecs) -> np.ndarray | None:
+    """Half the Hessian of the profile objective, or None without a spectral gap.
 
+    ``eigvals, eigvecs = eigh(S)`` for the residual's row Gram matrix ``S``
+    at ``beta``; ``Q`` and ``V`` are its top ``r = wq.shape[2]`` and
+    remaining eigenvectors.  ``wq[k] = W_k Q`` with ``W_k`` the symmetric part
+    of ``R B_k'``, so that ``dS/dbeta_k = -2 W_k``, and ``q_bb[k, l] =
+    <Q'B_k, Q'B_l>``.  Second-order eigenvalue perturbation of ``f = tr S -
+    sum_{i <= r} lambda_i`` gives ``f'' = 2 H`` with
 
-def _settled(history) -> bool:
-    """Whether the last three plain steps shrink at one steady ratio.
+        H[k, l] = gram[k, l] - q_bb[k, l]
+                  - sum_{i <= r < j} T_k[i, j] T_l[i, j] / (lambda_i - lambda_j),
 
-    Extrapolation only pays off, and only stays in ALS's own basin, once the
-    alternation contracts geometrically; steps that grow or change rate mean
-    the iterate is still moving between regions of the profile objective.
+    ``T_k = Q' (dS/dbeta_k) V``; the pairs inside the top block cancel.  The
+    expansion holds only while every kept eigenvalue exceeds every discarded
+    one.
     """
-    if len(history) < 3:
-        return False
-    l0, l1, l2 = (np.linalg.norm(g - b) for b, g in history[-3:])
-    if not l0 > l1 > l2 > 0.0:
-        return False
-    r1, r2 = l1 / l0, l2 / l1
-    return abs(r2 - r1) <= SETTLED_RATIO_RTOL * r1
-
-
-def _anderson(history) -> np.ndarray:
-    """Anderson-extrapolated iterate from ``(beta, G(beta))`` pairs (Walker & Ni 2011).
-
-    With residuals ``f_i = G(beta_i) - beta_i``, the mixing weights solve
-    ``min ||f_m - dF gamma||`` over the residual differences ``dF``, and the
-    new iterate is ``G(beta_m) - dG gamma``.
-    """
-    betas = np.array([b for b, _ in history])
-    steps = np.array([g for _, g in history])
-    resid = steps - betas
-    gamma = np.linalg.lstsq(np.diff(resid, axis=0).T, resid[-1], rcond=None)[0]
-    return steps[-1] - np.diff(steps, axis=0).T @ gamma
+    r = wq.shape[2]
+    gaps = eigvals[-r:, None] - eigvals[:-r]
+    if not np.all(gaps > 0.0):
+        return None
+    t = np.swapaxes(wq, 1, 2) @ eigvecs[:, :-r]  # Q' W_k V = -T_k / 2
+    return gram - q_bb - 4.0 * np.einsum("kij,lij->kl", t / gaps, t)
 
 
 def fit_factor_model(
@@ -120,30 +113,29 @@ def fit_factor_model(
     tol: float = 1e-9,
     max_iter: int = 1000,
 ) -> FactorFit:
-    """Alternating least squares for slopes plus a low-rank component.
+    """Least squares for slopes plus a low-rank component, by safeguarded Newton steps.
 
-    Each iteration takes the plain ALS step ``G(beta)``: the top
+    Each iteration first forms the plain ALS step ``G(beta)``: the top
     ``n_factors`` eigenvectors ``Q`` of the residual's row Gram matrix at
     ``beta``, then pooled OLS of the data net of that low-rank component.
     The OLS step needs only ``<Q'B_k, Q'R> = <Q, W_k Q>`` with
     ``R = A - sum_l beta_l B_l`` and ``W_k`` the symmetric part of
-    ``A B_k' - sum_l beta_l B_l B_k'``, so both halves of the step run on
-    the ``1 + K + K(K+1)/2`` precomputed Gram blocks.
+    ``R B_k'``, so it runs on the ``1 + K + K(K+1)/2`` precomputed Gram
+    blocks.
 
-    Once the last three plain steps shrink with ratios that agree within 5%,
-    an Anderson step of memory 3 extrapolates from the recent ``(beta,
-    G(beta))`` pairs; it replaces ``G(beta)`` only if its profile objective
-    (the discarded eigenvalue mass) is no larger.  After an accepted
-    candidate one is tried on every following iteration, the stopping one
-    included; a rejected candidate clears the history, so the steady-ratio
-    test must pass again before the next.  Every accepted iterate therefore
-    lowers the objective, as a plain ALS step does, and the last iterate is
-    the one returned.
+    The iteration then tries the Newton point ``beta + H^{-1} gram (G(beta)
+    - beta)`` on the profile objective (the discarded eigenvalue mass), with
+    ``2H`` its exact Hessian read off the same eigendecomposition.  It takes
+    that point when ``H`` is positive definite, every kept eigenvalue exceeds
+    every discarded one, and its profile objective is no larger than the
+    current iterate's; otherwise it takes ``G(beta)``.  Either way the
+    objective never increases.  A taken Newton point costs one ``eigh``, a
+    refused one two.
 
-    The fit starts from pooled OLS and returns the limit ALS reaches from
+    The fit starts from pooled OLS and returns the limit it reaches from
     there, which is a local minimizer of the profile objective; on small
     panels it need not be the global one.  On a growing-design 20 x 15 x 25
-    draw (seed 3) flattened on dimension 1, ALS from pooled OLS (1.1418)
+    draw (seed 3) flattened on dimension 1, the fit from pooled OLS (1.1418)
     converges to 1.0529 with objective 25235.12, while the global minimum
     lies at 1.3985 (objective 24921.07) beyond a barrier near 1.175; the true
     slope is 1.0.
@@ -160,12 +152,14 @@ def fit_factor_model(
         Number of factors kept in the SVD step.  Zero reduces the fit to
         pooled OLS.
     tol : float
-        The fit stops once a plain ALS step moves the slope vector by at
-        most ``tol * max(||beta||, 1)`` (Euclidean norm); that step's result
-        is the last iterate, or the extrapolation from it when one is tried,
-        accepted, and within the same distance of that result.
+        The fit stops once a plain ALS step ``G(beta)`` moves the slope
+        vector by at most ``tol * max(||beta||, 1)`` (Euclidean norm).  The
+        last iterate is then ``G(beta)``, or the Newton point from the same
+        ``beta`` when that passes both safeguards and lies within the same
+        distance of ``G(beta)``; so ``tol`` bounds the last plain step, not
+        the distance to the limit.
     max_iter : int
-        Cap on the number of plain ALS steps; hitting it marks the fit as
+        Cap on the number of iterations; hitting it marks the fit as
         non-converged.
 
     Returns
@@ -173,9 +167,9 @@ def fit_factor_model(
     FactorFit
         The slope vector of the last iterate, with the matching loadings,
         factors, and residual.  ``objective_trace`` holds the profile
-        objective of every accepted iterate, starting from pooled OLS, so it
-        never increases beyond rounding; the last iterate is returned rather
-        than the lowest entry, because near the limit the entries differ by
+        objective of every iterate, starting from pooled OLS, so it never
+        increases beyond rounding; the last iterate is returned rather than
+        the lowest entry, because near the limit the entries differ by
         rounding alone and an earlier iterate is farther from the fixed
         point.
 
@@ -216,71 +210,62 @@ def fit_factor_model(
         )
 
     # Row-Gram blocks A A', A B_k' and B_k B_l' (k <= l), each symmetrized
-    # once: a quadratic form sees only a block's symmetric part, and both the
-    # residual row Gram matrix and the OLS step's projected inner products are
-    # such forms in them.
+    # once: a quadratic form sees only a block's symmetric part, and the
+    # residual row Gram matrix, the OLS step's projected inner products and
+    # the Hessian's terms are all such forms in them.
     pairs = [(k, l) for k in range(n_reg) for l in range(k, n_reg)]
+    pair_index = np.empty((n_reg, n_reg), dtype=int)  # position of B_k B_l' in blocks[1:]
     blocks = np.empty((1 + n_reg + len(pairs), n_rows, n_rows))
     blocks[0] = a @ a.T
     for k, bk in enumerate(bs):
         blocks[1 + k] = a @ bk.T
     for j, (k, l) in enumerate(pairs):
         blocks[1 + n_reg + j] = bs[k] @ bs[l].T
+        pair_index[k, l] = pair_index[l, k] = n_reg + j
     for block in blocks:
         block += block.T
         block *= 0.5
     flat_blocks = blocks.reshape(len(blocks), -1)
 
-    def residual_row_gram(b: np.ndarray) -> np.ndarray:
-        # (A - sum b_k B_k)(A - sum b_k B_k)' as one combination of the blocks.
+    def profile(b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        # Profile objective (the discarded eigenvalue mass) and the full
+        # eigendecomposition of (A - sum b_k B_k)(A - sum b_k B_k)'.
         cross = [(2.0 if k < l else 1.0) * b[k] * b[l] for k, l in pairs]
-        return (np.concatenate(([1.0], -2.0 * b, cross)) @ flat_blocks).reshape(n_rows, n_rows)
-
-    def profile(b: np.ndarray) -> tuple[float, np.ndarray]:
-        # Profile objective (the discarded eigenvalue mass) and the top basis.
-        s = residual_row_gram(b)
+        s = (np.concatenate(([1.0], -2.0 * b, cross)) @ flat_blocks).reshape(n_rows, n_rows)
         eigvals, eigvecs = np.linalg.eigh(s)
-        return max(float(np.trace(s) - np.sum(eigvals[-n_factors:])), 0.0), eigvecs[:, -n_factors:]
-
-    def als_step(b: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        # Pooled OLS against the data net of the current low-rank component;
-        # <Q'B_k, Q'R> = <Q, W_k Q> is read off the blocks' compressions.
-        quad = np.einsum("jik,ik->j", blocks[1:] @ basis, basis)
-        q_bb = np.empty((n_reg, n_reg))
-        for j, (k, l) in enumerate(pairs):
-            q_bb[k, l] = q_bb[l, k] = quad[n_reg + j]
-        low_rank_part = quad[:n_reg] - q_bb @ b
-        # The Gram matrix is constant and passed the policy in the first solve.
-        return np.linalg.solve(gram, rhs - low_rank_part)
+        return max(float(np.trace(s) - np.sum(eigvals[-n_factors:])), 0.0), eigvals, eigvecs
 
     def within_tol(new: np.ndarray, old: np.ndarray) -> bool:
         return np.linalg.norm(new - old) <= tol * max(np.linalg.norm(old), 1.0)
 
-    objective, basis = profile(beta)
+    objective, eigvals, eigvecs = profile(beta)
     trace = [objective]
-    history: list[tuple[np.ndarray, np.ndarray]] = []  # accepted (beta, G(beta)) pairs
-    extrapolating = False  # the last candidate passed the objective safeguard
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        step = als_step(beta, basis)
+        basis = eigvecs[:, -n_factors:]
+        block_q = blocks[1:] @ basis
+        pair_q = block_q[pair_index]  # sym(B_k B_l') Q
+        wq = block_q[:n_reg] - np.einsum("l,klir->kir", beta, pair_q)  # W_k Q
+        q_bb = np.einsum("klir,ir->kl", pair_q, basis)
+        # The Gram matrix is constant and passed the policy in the first solve.
+        step = np.linalg.solve(gram, rhs - np.einsum("kir,ir->k", wq, basis))
         converged = within_tol(step, beta)
-        history = history[-ANDERSON_MEMORY:] + [(beta, step)]
-        beta = step
-        objective, basis = profile(step)
-        # An accepted jump breaks the steady ratio _settled looks for, so once
-        # one is accepted the next candidates skip that gate, the stopping
-        # iteration's too; a rejection clears the history and re-arms it.  On
-        # the stopping iteration the candidate may only refine the tested step
-        # within tol, so tol still bounds the returned slopes.
-        if extrapolating or (not converged and _settled(history)):
-            candidate = _anderson(history)
-            cand_objective, cand_basis = profile(candidate)
-            extrapolating = cand_objective <= objective and (not converged or within_tol(candidate, step))
-            if extrapolating:
-                beta, objective, basis = candidate, cand_objective, cand_basis
-            else:
-                history = []
+        # The Newton point is tried only where f is smooth and locally convex.
+        # On the stopping iteration it may only refine the tested step within
+        # tol, so tol still bounds the returned slopes.
+        hessian = _half_hessian(gram, q_bb, wq, eigvals, eigvecs)
+        accepted = False
+        if hessian is not None and np.linalg.eigvalsh(hessian)[0] > 0.0:
+            candidate = beta + np.linalg.solve(hessian, gram @ (step - beta))
+            if not converged or within_tol(candidate, step):
+                cand_objective, cand_vals, cand_vecs = profile(candidate)
+                accepted = cand_objective <= objective
+        if accepted:
+            beta, objective, eigvals, eigvecs = candidate, cand_objective, cand_vals, cand_vecs
+        else:
+            beta = step
+            objective, eigvals, eigvecs = profile(step)
         trace.append(objective)
         if converged:
             break

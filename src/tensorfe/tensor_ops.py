@@ -372,14 +372,26 @@ def net_of(y, xs, beta) -> np.ndarray:
     return y - sum(b * xk for b, xk in zip(beta, xs))
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius inner product of two same-shape arrays, copying neither.
+
+    ``np.vdot`` first copies an operand that is not C-contiguous, such as an
+    F-ordered flattening or a transposed view; ``einsum`` reads any strides.
+    """
+    if a.flags.c_contiguous and b.flags.c_contiguous:
+        return np.vdot(a, b)
+    axes = list(range(a.ndim))
+    return np.einsum(a, axes, b, axes, [])
+
+
 def cross_moments(xs, target) -> tuple[np.ndarray, np.ndarray]:
     """Normal equations of ``target`` on ``xs``: the Gram matrix and right-hand side."""
     n_reg = len(xs)
     gram = np.empty((n_reg, n_reg))
     for k in range(n_reg):
         for l in range(k, n_reg):
-            gram[k, l] = gram[l, k] = np.vdot(xs[k], xs[l])
-    return gram, np.array([np.vdot(xk, target) for xk in xs])
+            gram[k, l] = gram[l, k] = _inner(xs[k], xs[l])
+    return gram, np.array([_inner(xk, target) for xk in xs])
 
 
 def solve_gram(gram, rhs, what: str = "regressors") -> np.ndarray:

@@ -1,5 +1,7 @@
 """The shared linear-algebra core: normal equations, conditioning, regressor lists, residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -16,7 +18,14 @@ from tensorfe.inference import (
 )
 from tensorfe.kernel_fe import KernelSpec, iterative_kernel_fe, kernel_fe_estimate, kernel_weights, within_projections
 from tensorfe.montecarlo import EstimatorSpec, estimate_panel
-from tensorfe.tensor_ops import GRAM_COND_LIMIT, cross_moments, hosvd_truncate, net_of, regressor_list, solve_gram
+from tensorfe.tensor_ops import (
+    GRAM_COND_LIMIT,
+    cross_moments,
+    hosvd_truncate,
+    net_of,
+    regressor_list,
+    solve_gram,
+)
 
 SHAPE = (9, 10, 11)
 
@@ -29,6 +38,27 @@ def test_cross_moments_match_the_stacked_design(rng):
     assert_allclose(gram, design.T @ design, rtol=1e-12)
     assert_allclose(rhs, design.T @ y.ravel(), rtol=1e-12)
     assert_array_equal(gram, gram.T)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "transposed", "mixed"])
+def test_cross_moments_read_any_layout_without_copying(rng, layout):
+    """Flattenings are F-ordered and unflattened tensors are transposed views;
+    the normal equations must not copy either (np.vdot copies both)."""
+    ts = [rng.standard_normal((60, 50, 40)) for _ in range(3)]
+    expected = cross_moments(ts[:2], ts[2])
+    f_ts = [np.asfortranarray(t) for t in ts]
+    # Equal values, strides in neither C nor F order.
+    t_ts = [np.ascontiguousarray(t.transpose(1, 2, 0)).transpose(2, 0, 1) for t in ts]
+    mats = {"C": ts, "F": f_ts, "transposed": t_ts, "mixed": [f_ts[0], ts[1], t_ts[2]]}[layout]
+    tracemalloc.start()
+    try:
+        gram, rhs = cross_moments(mats[:2], mats[2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_allclose(gram, expected[0], rtol=1e-12)
+    assert_allclose(rhs, expected[1], rtol=1e-12)
+    assert peak < mats[0].nbytes
 
 
 def test_solve_gram_solves_well_conditioned_systems(rng):
