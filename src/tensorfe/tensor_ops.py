@@ -377,6 +377,10 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
 
     ``np.vdot`` first copies an operand that is not C-contiguous, such as an
     F-ordered flattening or a transposed view; ``einsum`` reads any strides.
+    On C-contiguous operands ``vdot`` is the faster of the two, so it stays:
+    min-of-15 µs per call on one BLAS thread (numpy 2.4, Xeon, 2 cores),
+    ``vdot`` against ``einsum``, 16 vs 28 on 40³, 6.5 vs 12.5 on 12⁴ and
+    166 vs 183 on 80×30×100.
     """
     if a.flags.c_contiguous and b.flags.c_contiguous:
         return np.vdot(a, b)
