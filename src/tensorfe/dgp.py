@@ -31,7 +31,7 @@ each, so every delivered tensor is built already relabelled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,20 +94,15 @@ class DgpDraw:
     noise: np.ndarray
     beta_true: np.ndarray
     config: DgpConfig
-    seed_entropy: tuple[int, ...] = field(default_factory=tuple)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.outcome.shape
 
 
-def _rng_from(seed) -> tuple[np.random.Generator, tuple[int, ...]]:
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence([int(seed)])
-    entropy = tuple(int(e) for e in np.atleast_1d(ss.entropy)) if ss.entropy is not None else ()
-    return np.random.default_rng(ss), entropy
+def _rng_from(seed) -> np.random.Generator:
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence([int(seed)])
+    return np.random.default_rng(ss)
 
 
 def _moving_average_error(rng: np.random.Generator, dims: tuple[int, ...]) -> np.ndarray:
@@ -167,7 +162,7 @@ def draw_growing(config: DgpConfig, seed=0) -> DgpDraw:
     """
     if config.design != "growing":
         raise ValueError(f"config is for the {config.design!r} design")
-    rng, entropy = _rng_from(seed)
+    rng = _rng_from(seed)
     dims = config.dims
     n_comp = config.resolved_components
 
@@ -183,7 +178,6 @@ def draw_growing(config: DgpConfig, seed=0) -> DgpDraw:
         noise=err,
         beta_true=np.array([config.beta_true]),
         config=config,
-        seed_entropy=entropy,
     )
 
 
@@ -199,7 +193,7 @@ def draw_fixed(config: DgpConfig, seed=0) -> DgpDraw:
     """
     if config.design != "fixed":
         raise ValueError(f"config is for the {config.design!r} design")
-    rng, entropy = _rng_from(seed)
+    rng = _rng_from(seed)
     dims = config.dims
     n_comp = config.resolved_components
 
@@ -222,7 +216,6 @@ def draw_fixed(config: DgpConfig, seed=0) -> DgpDraw:
         noise=err,
         beta_true=np.array([config.beta_true]),
         config=config,
-        seed_entropy=entropy,
     )
 
 

@@ -10,7 +10,8 @@ flattening of the data net of the regression part (Bai 2009, Econometrica
 ``f(beta) = tr S(beta) - sum_{i <= r} lambda_i(S(beta))``.  Everything an
 iteration needs besides one ``eigh`` of ``S`` is a product of those blocks
 with its eigenvectors.  The reported loadings, factors, and residual come
-from one genuine thin SVD at the last iterate.
+from one thin SVD of the last iterate's residual projected on the top
+eigenvectors of that iterate's ``S``, which the loop has already computed.
 
 The plain alternating step ``beta -> G(beta)`` (top-``r`` subspace, then
 pooled OLS net of it) descends ``f`` but converges linearly, often slowly.
@@ -37,15 +38,16 @@ import numpy as np
 
 from .errors import EstimationError, RankError
 from .tensor_ops import (
+    _complete_svd,
+    _flatten,
+    _truncated_svd,
+    _unflatten,
     as_tensor,
     check_dim,
     cross_moments,
-    flatten,
     net_of,
     regressor_list,
     solve_gram,
-    truncated_svd,
-    unflatten,
 )
 
 
@@ -75,8 +77,7 @@ class FactorFit:
     @property
     def low_rank(self) -> np.ndarray:
         """The estimated interactive-effect component, in tensor shape."""
-        mat = self.loadings @ self.factors.T
-        return unflatten(mat, self.flatten_dim, self.residual.shape)
+        return _unflatten(self.loadings @ self.factors.T, self.flatten_dim, self.residual.shape)
 
 
 def _half_hessian(gram, q_bb, wq, eigvals, eigvecs) -> np.ndarray | None:
@@ -182,8 +183,8 @@ def fit_factor_model(
     y_arr = as_tensor(y, name="outcome", min_order=2)
     xs = regressor_list(x, y_arr.shape)
     flatten_dim = check_dim(flatten_dim, y_arr.ndim)
-    a = flatten(y_arr, flatten_dim)
-    bs = [flatten(xk, flatten_dim) for xk in xs]
+    a = _flatten(y_arr, flatten_dim)
+    bs = [_flatten(xk, flatten_dim) for xk in xs]
     n_rows = a.shape[0]
     max_rank = min(a.shape)
     if not 0 <= n_factors <= max_rank:
@@ -200,7 +201,7 @@ def fit_factor_model(
             beta=beta,
             loadings=np.zeros((n_rows, 0)),
             factors=np.zeros((a.shape[1], 0)),
-            residual=unflatten(resid_mat, flatten_dim, y_arr.shape),
+            residual=_unflatten(resid_mat, flatten_dim, y_arr.shape),
             flatten_dim=flatten_dim,
             n_factors=0,
             iterations=0,
@@ -270,10 +271,11 @@ def fit_factor_model(
         if converged:
             break
 
-    # One honest thin SVD at the last iterate: the Gram eigenbasis is only a
-    # device for the loop, reported quantities come from the residual itself.
+    # The last profile's eigenpairs belong to the returned beta, so one thin
+    # SVD of Q'R completes them: the reported loadings, factors and residual
+    # come from the residual itself, at no further Gram product or eigh.
     resid_mat = net_of(a, bs, beta)
-    svd = truncated_svd(resid_mat, n_factors)
+    svd = _complete_svd(resid_mat, n_factors, eigvals, eigvecs)
     loadings = svd.u * svd.s
     factors = svd.v
     defactored = resid_mat - loadings @ factors.T
@@ -281,7 +283,7 @@ def fit_factor_model(
         beta=beta,
         loadings=loadings,
         factors=factors,
-        residual=unflatten(defactored, flatten_dim, y_arr.shape),
+        residual=_unflatten(defactored, flatten_dim, y_arr.shape),
         flatten_dim=flatten_dim,
         n_factors=n_factors,
         iterations=iterations,
@@ -299,21 +301,20 @@ def defactored_regressors(fit: FactorFit, x) -> list[np.ndarray]:
     whose Gram matrix scales the factor estimator's sampling variance.
     Thin products with orthonormal span bases, ``X - B_l (B_l' X)`` then ``X - (X B_f) B_f'``,
     need ``O(cells * r)`` time and ``O(cells)`` memory: no ``M x M`` annihilator is formed.
+    ``B_f`` is the fit's factor matrix itself, orthonormal by :class:`FactorFit`'s
+    contract; ``B_l`` comes from a thin SVD of the ``N_n x r`` loadings, whose
+    columns need not be orthogonal and may be rank-deficient.
     """
     xs = regressor_list(x, fit.residual.shape)
-
-    def span_basis(mat: np.ndarray) -> np.ndarray:
-        svd = truncated_svd(mat, mat.shape[1])
-        return svd.u[:, svd.s > 0.0]  # the SVD already zeroed the negligible directions
-
-    b_load = span_basis(fit.loadings)
-    b_fact = span_basis(fit.factors)
+    svd = _truncated_svd(fit.loadings, fit.loadings.shape[1])
+    b_load = svd.u[:, svd.s > 0.0]  # the SVD already zeroed the negligible directions
+    b_fact = fit.factors
     out = []
     for xk in xs:
-        mat = flatten(xk, fit.flatten_dim)
+        mat = _flatten(xk, fit.flatten_dim)
         mat = mat - b_load @ (b_load.T @ mat)
         mat = mat - (mat @ b_fact) @ b_fact.T
-        out.append(unflatten(mat, fit.flatten_dim, fit.residual.shape))
+        out.append(_unflatten(mat, fit.flatten_dim, fit.residual.shape))
     return out
 
 
@@ -367,14 +368,14 @@ def residual_proxies(residual, ranks, dims=None, *, source: str = "residual-svd"
 
     columns: dict[int, np.ndarray] = {}
     for d in dims:
-        mat = flatten(arr, d)
+        mat = _flatten(arr, d)
         max_rank = min(mat.shape)
         r = rank_map[d]
         if not 1 <= r <= max_rank:
             raise RankError(f"proxy rank {r} out of range [1, {max_rank}] for dimension {d}")
         if mat.shape[0] < 2:
             raise EstimationError(f"dimension {d} has fewer than 2 units; cannot standardize")
-        svd = truncated_svd(mat, r)
+        svd = _truncated_svd(mat, r)
         cols = svd.u * svd.s
         sd = cols.std(axis=0, ddof=1)
         if np.any(sd <= 0.0) or not np.all(np.isfinite(sd)):

@@ -20,6 +20,7 @@ reproduces the heteroskedastic estimator exactly (same code path).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Callable, Sequence
@@ -28,14 +29,14 @@ import numpy as np
 
 from .errors import EstimationError, RankError, TensorShapeError
 from .tensor_ops import (
+    _mode_bases,
+    _mode_product,
+    _project,
     as_tensor,
     check_dim,
     cross_moments,
     hosvd_truncate,
-    mode_bases,
-    mode_product,
     net_of,
-    project,
     regressor_list,
     solve_gram,
 )
@@ -79,7 +80,11 @@ def orthogonalize(y, x, beta_tilde, ranks, *, effects=None) -> Orthogonalization
         regressor projections still use ``ranks``.
     """
     y_arr = as_tensor(y, name="outcome", min_order=2)
-    xs = regressor_list(x, y_arr.shape)
+    return _orthogonalize(y_arr, regressor_list(x, y_arr.shape), beta_tilde, ranks, effects)
+
+
+def _orthogonalize(y_arr: np.ndarray, xs: list[np.ndarray], beta_tilde, ranks, effects) -> Orthogonalization:
+    # ``orthogonalize`` on an outcome and regressors its caller has checked.
     bt = np.atleast_1d(np.asarray(beta_tilde, dtype=np.float64))
     if bt.shape != (len(xs),):
         raise TensorShapeError(f"beta_tilde has shape {bt.shape}, expected ({len(xs)},)")
@@ -113,7 +118,6 @@ class CorrectedFit:
     residual: np.ndarray
     eta: list[np.ndarray]
     beta_tilde: np.ndarray
-    orth: Orthogonalization | None = None
     split: "CrossfitPlan | None" = None
     fold_beta_tilde: list[np.ndarray] = field(default_factory=list)
 
@@ -139,7 +143,7 @@ def corrected_estimate(
     if orth is None:
         if beta_tilde is None or ranks is None:
             raise ValueError("need either a prebuilt orthogonalization or (beta_tilde, ranks)")
-        orth = orthogonalize(y_arr, xs, beta_tilde, ranks, effects=effects)
+        orth = _orthogonalize(y_arr, xs, beta_tilde, ranks, effects)
     gram, rhs = cross_moments(orth.eta, y_arr - orth.gamma_y)
     beta = solve_gram(gram, rhs, "cleaned regressors")
     residual = net_of(y_arr, xs, beta) - orth.effects
@@ -149,7 +153,6 @@ def corrected_estimate(
         residual=residual,
         eta=orth.eta,
         beta_tilde=orth.beta_tilde,
-        orth=orth,
     )
 
 
@@ -174,6 +177,14 @@ def var_homoskedastic(eta, resid) -> np.ndarray:
     omega_inv = _omega_inv(regressor_list(eta, resid.shape, "eta"))
     sigma_sq = float(np.vdot(resid, resid)) / resid.size
     return sigma_sq * omega_inv / resid.size
+
+
+@functools.lru_cache(maxsize=64)
+def _bartlett(n: int, lag: int) -> np.ndarray:
+    """Bartlett Toeplitz ``B[i, j] = max(0, 1 - |i - j| / (lag + 1))``, built once per size and lag (read-only)."""
+    taper = np.clip(1.0 - np.abs(np.subtract.outer(np.arange(n), np.arange(n))) / (lag + 1), 0.0, None)
+    taper.flags.writeable = False
+    return taper
 
 
 def var_hac(eta, resid, lags) -> np.ndarray:
@@ -201,8 +212,7 @@ def var_hac(eta, resid, lags) -> np.ndarray:
     tapered = scores
     for dim, (l, n) in enumerate(zip(lags, resid.shape), start=1):
         if l:
-            bartlett = np.clip(1.0 - np.abs(np.subtract.outer(np.arange(n), np.arange(n))) / (l + 1), 0.0, None)
-            tapered = [mode_product(t, bartlett, dim) for t in tapered]
+            tapered = [_mode_product(t, _bartlett(n, l), dim) for t in tapered]
     meat = np.array([[np.vdot(sa, tb) for tb in tapered] for sa in scores]) / n_cells
     meat = 0.5 * (meat + meat.T)
     eigvals, eigvecs = np.linalg.eigh(meat)
@@ -216,8 +226,7 @@ def var_heteroskedastic(eta, resid) -> np.ndarray:
 
     Identical to :func:`var_hac` with every lag set to zero.
     """
-    resid_arr = as_tensor(resid, name="residual")
-    return var_hac(eta, resid_arr, lags=(0,) * resid_arr.ndim)
+    return var_hac(eta, resid, lags=(0,) * np.ndim(resid))
 
 
 # --------------------------------------------------------------------------
@@ -274,11 +283,13 @@ def build_report(
     variance_model: str = "hac",
     diagnostics: dict | None = None,
 ) -> EstimateReport:
-    """Assemble a report: normal intervals around the point estimates."""
+    """Assemble a report: normal intervals around the point estimates; a non-finite ``vcov`` raises."""
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
     vcov = np.asarray(vcov, dtype=np.float64)
     if vcov.shape != (beta.size, beta.size):
         raise TensorShapeError(f"vcov shape {vcov.shape} does not match {beta.size} coefficient(s)")
+    if not np.all(np.isfinite(vcov)):
+        raise EstimationError("the variance estimate is non-finite")
     se = np.sqrt(np.clip(np.diag(vcov), 0.0, None))
     z = normal_quantile(level)
     return EstimateReport(
@@ -381,14 +392,14 @@ def corrected_estimate_split(
         fit_y = _take(y_arr, fit_idx, split_dim)
         fit_x = [_take(xk, fit_idx, split_dim) for xk in xs]
         bt = np.atleast_1d(np.asarray(prelim(fit_y, fit_x), dtype=np.float64))
-        if bt.shape != (n_reg,):
-            raise EstimationError(f"preliminary estimator returned shape {bt.shape}, expected ({n_reg},)")
+        if bt.shape != (n_reg,) or not np.all(np.isfinite(bt)):
+            raise EstimationError(f"preliminary estimator returned {bt}, expected {n_reg} finite slope(s)")
         fold_prelims.append(bt)
 
         sub_y = _take(y_arr, apply_idx, split_dim)
         sub_x = [_take(xk, apply_idx, split_dim) for xk in xs]
-        gamma_x = [project(xk, mode_bases(fk, ranks, project_dims)) for xk, fk in zip(sub_x, fit_x)]
-        effects = project(net_of(sub_y, sub_x, bt), mode_bases(net_of(fit_y, fit_x, bt), ranks, project_dims))
+        gamma_x = [_project(xk, _mode_bases(fk, ranks, project_dims)) for xk, fk in zip(sub_x, fit_x)]
+        effects = _project(net_of(sub_y, sub_x, bt), _mode_bases(net_of(fit_y, fit_x, bt), ranks, project_dims))
         gamma_y = sum(b * g for b, g in zip(bt, gamma_x)) + effects
         eta = [xk - g for xk, g in zip(sub_x, gamma_x)]
 

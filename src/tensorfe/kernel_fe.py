@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DegenerateWeightsError, EstimationError, RankError, TensorShapeError
 from .factor import ProxySet
-from .inference import pooled_ols
-from .tensor_ops import as_tensor, check_dim, mode_product, net_of, regressor_list, truncated_svd
+from .tensor_ops import _mode_matrix, _mode_product, _truncated_svd, as_tensor, check_dim, cross_moments, net_of
+from .tensor_ops import regressor_list, solve_gram
 
 KERNEL_FAMILIES = ("gaussian", "indicator")
 PROJECTION_VARIANTS = ("plain", "optimal")
@@ -220,7 +220,7 @@ def within_projections(weight_set: WeightSet, variant: str = "plain") -> Project
         if variant == "plain":
             mats[d] = np.eye(n) - w
         else:
-            svd = truncated_svd(w, n)
+            svd = _truncated_svd(w, n)
             perp = svd.u[:, np.sum(svd.s > COLUMN_SPACE_RTOL * svd.s[0]) :]
             mats[d] = perp @ perp.T
     return ProjectionSet(mats=mats, variant=variant)
@@ -228,11 +228,15 @@ def within_projections(weight_set: WeightSet, variant: str = "plain") -> Project
 
 def weighted_within(t, projections: ProjectionSet) -> np.ndarray:
     """Apply the per-dimension within matrices as successive mode products."""
-    out = as_tensor(t)
+    return _within(as_tensor(t), projections)
+
+
+def _within(arr: np.ndarray, projections: ProjectionSet) -> np.ndarray:
+    # ``weighted_within`` on a checked tensor: only the small within matrices are checked.
     for d in projections.dims:
-        check_dim(d, out.ndim)
-        out = mode_product(out, projections.mats[d], d)
-    return out
+        d = check_dim(d, arr.ndim)
+        arr = _mode_product(arr, _mode_matrix(projections.mats[d], arr.shape[d - 1], d), d)
+    return arr
 
 
 def smoothed_effects(resid, projections: ProjectionSet) -> np.ndarray:
@@ -246,7 +250,7 @@ def smoothed_effects(resid, projections: ProjectionSet) -> np.ndarray:
     rather than exactly inside the regressors' structural span.
     """
     arr = as_tensor(resid)
-    return arr - weighted_within(arr, projections)
+    return arr - _within(arr, projections)
 
 
 def standard_within(t, dims=None) -> np.ndarray:
@@ -290,9 +294,9 @@ def kernel_fe_estimate(y, x, projections: ProjectionSet, *, weight_set: WeightSe
     for d in projections.dims:
         if projections.variant == "optimal" and not np.any(projections.mats[d]):
             raise EstimationError(f"the optimal projection removes all data: dimension {d}'s kernel weights have full rank")
-    y_t = weighted_within(y_arr, projections)
-    x_t = [weighted_within(xk, projections) for xk in xs]
-    beta = pooled_ols(y_t, x_t)
+    y_t = _within(y_arr, projections)
+    x_t = [_within(xk, projections) for xk in xs]
+    beta = solve_gram(*cross_moments(x_t, y_t))
     return KernelFeFit(
         beta=beta,
         y_within=y_t,
@@ -306,17 +310,14 @@ def kernel_fe_estimate(y, x, projections: ProjectionSet, *, weight_set: WeightSe
 class IterativeKernelFit:
     """Pooled OLS after per-proxy-column within sweeps.
 
-    ``column_weights[(dim, m)]`` is the weight matrix built from the ``m``-th
-    proxy column (1-indexed) of that dimension; the composed transform for a
-    dimension multiplies the matching ``I - W`` factors in column order.
+    ``degenerate_rows[(dim, m)]`` lists the isolated units of the weights
+    built from the ``m``-th proxy column (1-indexed) of that dimension.
     """
 
     beta: np.ndarray
     y_within: np.ndarray
     x_within: list[np.ndarray]
-    column_weights: dict[tuple[int, int], np.ndarray]
     degenerate_rows: dict[tuple[int, int], np.ndarray]
-    composed: ProjectionSet
 
 
 def iterative_kernel_fe(y, x, proxies, spec: KernelSpec, dims=None) -> IterativeKernelFit:
@@ -333,27 +334,18 @@ def iterative_kernel_fe(y, x, proxies, spec: KernelSpec, dims=None) -> Iterative
     y_arr = as_tensor(y, name="outcome", min_order=2)
     xs = regressor_list(x, y_arr.shape)
 
-    column_weights: dict[tuple[int, int], np.ndarray] = {}
     degenerate: dict[tuple[int, int], np.ndarray] = {}
     composed: dict[int, np.ndarray] = {}
     for d, u in _proxy_matrices(proxies, dims).items():
         transform = np.eye(u.shape[0])
         for m in range(u.shape[1]):
             column = kernel_weights({d: u[:, m]}, spec)
-            column_weights[(d, m + 1)] = column.weights[d]
             degenerate[(d, m + 1)] = column.degenerate_rows[d]
             transform = (np.eye(u.shape[0]) - column.weights[d]) @ transform
         composed[d] = transform
 
     projections = ProjectionSet(mats=composed, variant="plain")
-    y_t = weighted_within(y_arr, projections)
-    x_t = [weighted_within(xk, projections) for xk in xs]
-    beta = pooled_ols(y_t, x_t)
-    return IterativeKernelFit(
-        beta=beta,
-        y_within=y_t,
-        x_within=x_t,
-        column_weights=column_weights,
-        degenerate_rows=degenerate,
-        composed=projections,
-    )
+    y_t = _within(y_arr, projections)
+    x_t = [_within(xk, projections) for xk in xs]
+    beta = solve_gram(*cross_moments(x_t, y_t))
+    return IterativeKernelFit(beta=beta, y_within=y_t, x_within=x_t, degenerate_rows=degenerate)

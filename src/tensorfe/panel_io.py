@@ -18,9 +18,9 @@ Parse rules of ``load_panel_csv``:
   unlike Python's ``float`` rejects digit separators such as ``1_000``;
   ``inf`` and ``nan`` parse but are rejected as non-finite.
 
-The columns are parsed by ``numpy.loadtxt``.  Only when that parse or the
-grid check finds a fault is the file read again row by row, to name the
-offending row, cell or labels.
+The columns are parsed by one ``numpy.loadtxt`` pass, which codes the labels
+as it reads them.  Only when that parse or the grid check finds a fault is
+the file read again row by row, to name the offending row, cell or labels.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import csv
 import itertools
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,6 @@ from .tensor_ops import as_tensor
 
 _MAX_REPORTED = 10
 _GRAMMAR = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
-_CHUNK_ROWS = 50_000
 
 
 @dataclass
@@ -120,48 +120,40 @@ def load_panel_csv(path, index_cols, y_col: str, x_cols) -> tuple[PanelFrame, np
 def _read_grid(path, header_lines: int, idx_pos, val_pos, n_fields: int):
     """Labels and tensors of a valid panel file; ``ValueError`` on any fault.
 
-    The last header column is read with the labels when no requested column
-    is last, so that ``loadtxt`` rejects a row shorter than the header.
+    One ``loadtxt`` pass reads the label and value columns as float64.  Each
+    label column's converter is the ``__getitem__`` of a ``defaultdict``
+    whose factory counts up, so labels are coded in order of first
+    appearance without a Python frame per field.  The last header column is
+    read too (its converter is ``len``, so its text is never parsed as a
+    float) when no requested column is last, so that ``loadtxt`` rejects a
+    row shorter than the header.  Converter keys are file-column indices.
     """
-    text_pos = idx_pos + ([n_fields - 1] if n_fields - 1 > max(idx_pos + val_pos) else [])
+    sentinel = [n_fields - 1] if n_fields - 1 > max(idx_pos + val_pos) else []
+    label_maps = [defaultdict(itertools.count().__next__) for _ in idx_pos]
+    converters = {pos: label_map.__getitem__ for pos, label_map in zip(idx_pos, label_maps)}
+    converters.update(dict.fromkeys(sentinel, len))
     with warnings.catch_warnings():
         # loadtxt warns on an empty line (skipped by design) and on a file without rows (rejected below)
         warnings.simplefilter("ignore", UserWarning)
-        values = np.loadtxt(path, dtype=np.float64, usecols=val_pos, skiprows=header_lines, **_GRAMMAR)
         # newline="" as for csv.reader: a quoted label keeps its line break as written
         with open(path, newline="") as fh:
-            codes, dim_labels = _label_codes(fh, header_lines, text_pos, len(idx_pos))
-    if len(values) == 0:
+            table = np.loadtxt(
+                fh, usecols=idx_pos + val_pos + sentinel, converters=converters, skiprows=header_lines, **_GRAMMAR
+            )
+    if len(table) == 0:
         raise ValueError("no data rows")
+    values = table[:, len(idx_pos) : len(idx_pos) + len(val_pos)]
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite value")
+    dim_labels = [list(label_map) for label_map in label_maps]
     shape = tuple(len(labels) for labels in dim_labels)
-    flat = np.ravel_multi_index(codes, shape)
+    flat = np.ravel_multi_index(table[:, : len(idx_pos)].T.astype(np.intp), shape)
     if len(flat) != math.prod(shape) or np.any(np.bincount(flat, minlength=len(flat)) != 1):
         raise ValueError("duplicate or missing cells")
     tensors = [np.empty(shape) for _ in val_pos]
     for tensor, column in zip(tensors, values.T):
         tensor.reshape(-1)[flat] = column
     return dim_labels, tensors
-
-
-def _label_codes(fh, skiprows: int, usecols, n_dims: int) -> tuple[list[np.ndarray], list[list[str]]]:
-    """Integer codes of the first ``n_dims`` label columns, labels numbered in order of first appearance.
-
-    Labels are parsed as Python strings ``_CHUNK_ROWS`` rows at a time.  A
-    fixed-width string array of all rows would cost the longest label's
-    width in every row: one 200-character label in a 60 000-row file made
-    a 290 MB peak.
-    """
-    label_maps: list[dict[str, int]] = [{} for _ in range(n_dims)]
-    codes: list[list[int]] = [[] for _ in range(n_dims)]
-    rows = _CHUNK_ROWS
-    while rows == _CHUNK_ROWS:
-        text = np.loadtxt(fh, dtype=object, usecols=usecols, skiprows=skiprows, max_rows=_CHUNK_ROWS, **_GRAMMAR)
-        skiprows, rows = 0, len(text)
-        for label_map, column, out in zip(label_maps, text.T, codes):
-            out.extend([label_map.setdefault(label, len(label_map)) for label in column])
-    return [np.array(c, dtype=np.intp) for c in codes], [list(m) for m in label_maps]
 
 
 def _diagnose(path, idx_pos, val_pos, n_fields: int) -> None:

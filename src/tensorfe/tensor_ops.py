@@ -32,6 +32,14 @@ Every estimator is built from five shared steps, each done in one place:
   :func:`project` applies the multilinear projection ``B (B.T .)`` onto them
   as thin mode products; HOSVD truncation and both corrected estimators
   (plain and cross-fitted) are built from this pair.
+
+Tensors are validated at the package boundary: every exported name and
+estimator entry point runs :func:`as_tensor` once (non-finite entries raise
+``TensorShapeError``), and code inside the package calls the unchecked
+kernels (``_flatten``, ``_mode_product``, ``_truncated_svd``, ...) on tensors
+it built itself.  A non-finite value made past the boundary is caught by
+:func:`solve_gram` (Gram matrix or right-hand side) or by ``build_report``
+(variance), both raising ``EstimationError``.
 """
 
 from __future__ import annotations
@@ -97,9 +105,11 @@ def flatten(t, dim: int) -> np.ndarray:
         1-indexed mode to put on the rows.
     """
     arr = as_tensor(t)
-    dim = check_dim(dim, arr.ndim)
-    perm = _cyclic_perm(dim, arr.ndim)
-    return np.transpose(arr, perm).reshape(arr.shape[dim - 1], -1, order="F")
+    return _flatten(arr, check_dim(dim, arr.ndim))
+
+
+def _flatten(arr: np.ndarray, dim: int) -> np.ndarray:
+    return np.transpose(arr, _cyclic_perm(dim, arr.ndim)).reshape(arr.shape[dim - 1], -1, order="F")
 
 
 def unflatten(m, dim: int, shape) -> np.ndarray:
@@ -109,17 +119,14 @@ def unflatten(m, dim: int, shape) -> np.ndarray:
         raise TensorShapeError(f"expected a matrix, got order-{mat.ndim} array")
     shape = tuple(int(s) for s in shape)
     dim = check_dim(dim, len(shape))
-    n_rows = shape[dim - 1]
-    n_cols = math.prod(shape[: dim - 1] + shape[dim:])
-    if mat.shape != (n_rows, n_cols):
-        raise TensorShapeError(
-            f"matrix shape {mat.shape} incompatible with tensor shape {shape} "
-            f"flattened along dimension {dim}"
-        )
+    if mat.shape != (shape[dim - 1], math.prod(shape[: dim - 1] + shape[dim:])):
+        raise TensorShapeError(f"matrix shape {mat.shape} incompatible with shape {shape} flattened along dimension {dim}")
+    return _unflatten(mat, dim, shape)
+
+
+def _unflatten(mat: np.ndarray, dim: int, shape: tuple[int, ...]) -> np.ndarray:
     perm = _cyclic_perm(dim, len(shape))
-    permuted_shape = tuple(shape[p] for p in perm)
-    arr = mat.reshape(permuted_shape, order="F")
-    return np.transpose(arr, np.argsort(perm))
+    return np.transpose(mat.reshape(tuple(shape[p] for p in perm), order="F"), np.argsort(perm))
 
 
 def mode_product(t, mat, dim: int) -> np.ndarray:
@@ -137,15 +144,21 @@ def mode_product(t, mat, dim: int) -> np.ndarray:
     """
     arr = as_tensor(t)
     dim = check_dim(dim, arr.ndim)
+    return _mode_product(arr, _mode_matrix(mat, arr.shape[dim - 1], dim), dim)
+
+
+def _mode_matrix(mat, n: int, dim: int) -> np.ndarray:
+    """Check a matrix that is to act on dimension ``dim`` of size ``n``."""
     m = as_tensor(mat, name="matrix")
     if m.ndim != 2:
         raise TensorShapeError(f"mode factor must be a matrix, got order {m.ndim}")
-    n = arr.shape[dim - 1]
     if m.shape[1] != n:
-        raise TensorShapeError(
-            f"matrix with {m.shape[1]} columns cannot act on dimension {dim} "
-            f"of size {n}"
-        )
+        raise TensorShapeError(f"matrix with {m.shape[1]} columns cannot act on dimension {dim} of size {n}")
+    return m
+
+
+def _mode_product(arr: np.ndarray, m: np.ndarray, dim: int) -> np.ndarray:
+    n = arr.shape[dim - 1]
     pre, post = math.prod(arr.shape[: dim - 1]), math.prod(arr.shape[dim:])
     if post == 1:
         out = arr.reshape(pre, n) @ m.T
@@ -209,12 +222,6 @@ class TruncatedSvd:
         return (self.u * self.s) @ self.v.T
 
 
-def _clean_singular_values(s: np.ndarray) -> np.ndarray:
-    if s.size:
-        s = np.where(s < SVD_ZERO_RTOL * s[0], 0.0, s)
-    return s
-
-
 def truncated_svd(m, k: int) -> TruncatedSvd:
     """Rank-``k`` truncated SVD (best approximation in Frobenius norm).
 
@@ -233,16 +240,29 @@ def truncated_svd(m, k: int) -> TruncatedSvd:
     max_rank = min(mat.shape)
     if not 0 <= k <= max_rank:
         raise RankError(f"rank {k} out of range [0, {max_rank}] for shape {mat.shape}")
+    return _truncated_svd(mat, k)
+
+
+def _truncated_svd(mat: np.ndarray, k: int) -> TruncatedSvd:
     wide = mat.shape[0] <= mat.shape[1]
     side = mat if wide else mat.T
-    eigvals, eigvecs = np.linalg.eigh(side @ side.T)
+    svd = _complete_svd(side, k, *np.linalg.eigh(side @ side.T))
+    return svd if wide else TruncatedSvd(u=svd.v, s=svd.s, v=svd.u, tail=svd.tail)
+
+
+def _complete_svd(side: np.ndarray, k: int, eigvals: np.ndarray, eigvecs: np.ndarray) -> TruncatedSvd:
+    """Rank-``k`` SVD of ``side`` from ``eigvals, eigvecs = eigh(side @ side.T)``.
+
+    A caller that already holds that decomposition (the factor fit) passes it
+    in; ``side`` need not be the shorter side, and ``tail`` then has one entry
+    per discarded row.
+    """
     top = eigvecs[:, ::-1][:, :k]
     rot, s, vh = np.linalg.svd(top.T @ side, full_matrices=False)
-    short, long = top @ rot, vh.T
     tail = np.sqrt(np.clip(eigvals[::-1][k:], 0.0, None))
-    s = _clean_singular_values(np.concatenate([s, tail]))
-    u, v = (short, long) if wide else (long, short)
-    return TruncatedSvd(u=u, s=s[:k], v=v, tail=s[k:])
+    s = np.concatenate([s, tail])
+    s = np.where(s < SVD_ZERO_RTOL * s[0], 0.0, s) if s.size else s
+    return TruncatedSvd(u=top @ rot, s=s[:k], v=vh.T, tail=s[k:])
 
 
 @dataclass
@@ -269,7 +289,11 @@ def mode_bases(t, ranks, dims=None) -> dict[int, np.ndarray]:
     projection is the identity; a flattening narrower than its rank keeps all
     its vectors, and a zero rank gives a zero-width basis.
     """
-    arr = as_tensor(t)
+    return _mode_bases(as_tensor(t), ranks, dims)
+
+
+def _mode_bases(arr: np.ndarray, ranks, dims=None) -> dict[int, np.ndarray]:
+    # Checks the ranks and dimensions, not the tensor's entries.
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != arr.ndim:
         raise RankError(f"{len(ranks)} ranks given for an order-{arr.ndim} tensor")
@@ -280,8 +304,8 @@ def mode_bases(t, ranks, dims=None) -> dict[int, np.ndarray]:
         if not 0 <= r <= n:
             raise RankError(f"rank {r} out of range [0, {n}]")
         if r < n:
-            mat = flatten(arr, d)
-            bases[d] = truncated_svd(mat, min(r, mat.shape[1])).u
+            mat = _flatten(arr, d)
+            bases[d] = _truncated_svd(mat, min(r, mat.shape[1])).u
     return bases
 
 
@@ -298,6 +322,13 @@ def project(t, bases) -> np.ndarray:
     return out
 
 
+def _project(arr: np.ndarray, bases) -> np.ndarray:
+    # ``project`` for bases fitted by ``_mode_bases`` on a tensor of the same shape.
+    for d, basis in bases.items():
+        arr = _mode_product(_mode_product(arr, basis.T, d), basis, d)
+    return arr
+
+
 def hosvd(t, ranks) -> Hosvd:
     """Higher-order SVD truncated to the given multilinear ranks.
 
@@ -307,10 +338,10 @@ def hosvd(t, ranks) -> Hosvd:
     """
     arr = as_tensor(t)
     ranks = tuple(int(r) for r in ranks)
-    fitted = mode_bases(arr, ranks)
+    fitted = _mode_bases(arr, ranks)
     core = arr
     for d, basis in fitted.items():
-        core = mode_product(core, basis.T, d)
+        core = _mode_product(core, basis.T, d)
     bases = [fitted.get(n + 1, np.eye(size)) for n, size in enumerate(arr.shape)]
     return Hosvd(core=core, bases=bases, ranks=ranks)
 
@@ -322,7 +353,8 @@ def hosvd_truncate(t, ranks) -> np.ndarray:
     the identity along full-rank modes and the zero tensor when any rank is
     zero.
     """
-    return project(t, mode_bases(t, ranks))
+    arr = as_tensor(t)
+    return _project(arr, _mode_bases(arr, ranks))
 
 
 @dataclass
@@ -343,7 +375,7 @@ def multilinear_rank(t, rel_tol: float = 1e-8) -> MultilinearRank:
     arr = as_tensor(t)
     ranks, spectra = [], []
     for n in range(1, arr.ndim + 1):
-        s = np.linalg.svd(flatten(arr, n), compute_uv=False)
+        s = np.linalg.svd(_flatten(arr, n), compute_uv=False)
         spectra.append(s)
         top = s[0] if s.size else 0.0
         ranks.append(0 if top == 0.0 else int(np.sum(s > rel_tol * top)))
@@ -402,10 +434,13 @@ def solve_gram(gram, rhs, what: str = "regressors") -> np.ndarray:
     """Solve ``gram @ beta = rhs`` under the one conditioning policy.
 
     Raises :class:`EstimationError` naming ``what`` when the Gram matrix is
-    zero, non-finite, or has a condition number above ``GRAM_COND_LIMIT``.
+    zero, non-finite, or has a condition number above ``GRAM_COND_LIMIT``,
+    or when the right-hand side is non-finite.
     """
     if not np.all(np.isfinite(gram)) or not np.any(gram):
         raise EstimationError(f"{what} are identically zero or non-finite")
+    if not np.all(np.isfinite(rhs)):
+        raise EstimationError(f"the normal equations of the {what} have a non-finite right-hand side")
     if np.linalg.cond(gram) > GRAM_COND_LIMIT:
         raise EstimationError(f"{what} are (near-)collinear")
     return np.linalg.solve(gram, rhs)

@@ -92,7 +92,9 @@ def golden_section_min(f, lo, hi, tol=1e-10):
 def test_fit_stays_in_the_basin_of_pooled_ols():
     """The profile objective on this draw has two minima: ALS from pooled OLS
     (1.1418) descends to 1.0529; the global one (1.3985) lies past a barrier
-    near 1.175.  An extrapolation taken before ALS settles jumps the barrier."""
+    near 1.175.  A Newton point is tried only where the profile Hessian is
+    positive definite with positive eigenvalue gaps, and kept only when it
+    does not raise the objective, so no step crosses the barrier."""
     d = draw(DgpConfig("growing", (20, 15, 25)), 3)
     y, x = d.outcome, d.regressors[0]
 
@@ -107,30 +109,17 @@ def test_fit_stays_in_the_basin_of_pooled_ols():
     assert fit.objective <= svd_profile(local_min) * (1 + 1e-10)
 
 
-def test_acceleration_cuts_iterations_at_40_cubed():
+def test_newton_steps_cut_iterations_at_40_cubed():
     d = draw(DgpConfig("growing", (40, 40, 40)), 0)
     fit = fit_factor_model(d.outcome, d.regressors, 1, 2)
     assert fit.converged
     assert fit.iterations <= 25  # plain ALS takes 54
 
 
-def test_acceleration_rule_keeps_iterations_down_over_seeds():
-    """Growing 40^3, seeds 0-9, every dimension: gating every extrapolation
-    on a steady step ratio took 525 iterations in all; trying one on every
-    iteration after an accepted candidate takes 386."""
-    total = 0
-    for seed in range(10):
-        d = draw(DgpConfig("growing", (40, 40, 40)), seed)
-        for dim in (1, 2, 3):
-            fit = fit_factor_model(d.outcome, d.regressors, dim, 2)
-            assert fit.converged
-            total += fit.iterations
-    assert total <= 420
-
-
 def test_newton_steps_keep_iterations_down_over_seeds():
     """Growing 40^3, seeds 0-9, every dimension, r = 2: safeguarded Newton
-    steps on the profile objective take 259 iterations in all."""
+    steps on the profile objective take 259 iterations in all; plain ALS
+    steps with Anderson extrapolation took 386."""
     total = 0
     for seed in range(10):
         d = draw(DgpConfig("growing", (40, 40, 40)), seed)
@@ -229,6 +218,24 @@ def test_fitted_low_rank_term_has_requested_rank():
     lr = flatten(fit.low_rank, 1)
     s = np.linalg.svd(lr, compute_uv=False)
     assert s[2] <= 1e-8 * s[0]
+
+
+@pytest.mark.parametrize("shape, dim", [((12, 10, 8), 1), ((12, 10, 8), 3), ((6, 5, 4, 3), 2), ((30, 4, 3), 1)])
+def test_reported_components_are_the_residual_svd_at_the_returned_slopes(shape, dim):
+    """Loadings, factors, residual and objective equal a direct SVD of the flattened residual at
+    ``fit.beta``; the fit completes its last eigendecomposition instead of taking a new one.  The
+    30 x 4 x 3 panel's dimension-1 flattening is tall."""
+    y, xs, _ = build_panel(np.random.default_rng(80 + dim), shape=shape, noise=0.5)
+    fit = fit_factor_model(y, xs, dim, 2)
+    resid = flatten(y - sum(b * xk for b, xk in zip(fit.beta, xs)), dim)
+    u, s, vt = np.linalg.svd(resid, full_matrices=False)
+    low_rank = (u[:, :2] * s[:2]) @ vt[:2]
+    scale = np.abs(resid).max()
+    assert_allclose(fit.loadings @ fit.factors.T, low_rank, rtol=0.0, atol=1e-10 * scale)
+    assert_allclose(flatten(fit.residual, dim), resid - low_rank, rtol=0.0, atol=1e-10 * scale)
+    assert_allclose(fit.factors.T @ fit.factors, np.eye(2), rtol=0.0, atol=1e-12)
+    assert_allclose(np.linalg.norm(fit.loadings, axis=0), s[:2], rtol=1e-12)
+    assert_allclose(fit.objective, np.sum(s[2:] ** 2), rtol=1e-10)
 
 
 def test_defactored_regressors_are_annihilated():

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from tensorfe import panel_io
 from tensorfe.cli import main
 from tensorfe.dgp import DgpConfig, draw
 from tensorfe.errors import PanelFormatError
@@ -294,9 +293,7 @@ def test_estimate_runs_on_a_4d_csv(tmp_path):
     assert np.all(np.isfinite(payload["beta"])) and np.all(np.asarray(payload["se"]) > 0)
 
 
-@pytest.mark.parametrize("chunk_rows", [5, 6, 24, 25])
-def test_label_chunks_join_exactly(tmp_path, monkeypatch, chunk_rows):
-    monkeypatch.setattr(panel_io, "_CHUNK_ROWS", chunk_rows)
+def test_labels_are_coded_in_one_pass_in_order_of_first_appearance(tmp_path):
     labels = [["s0", "s\n1", "s2", "s3"], ["p0", "p,1", "p2"], ["w0", "w1"]]
     rng = np.random.default_rng(6)
     y = rng.standard_normal((4, 3, 2))
@@ -314,6 +311,21 @@ def test_label_chunks_join_exactly(tmp_path, monkeypatch, chunk_rows):
     assert frame.dim_labels == ref_labels
     assert_array_equal(y2, ref_y)
     assert_array_equal(xs2[0], ref_xs[0])
+
+
+def test_label_converters_follow_file_columns_in_any_usecols_order(tmp_path):
+    """The requested columns appear in the file in another order than requested,
+    so ``usecols`` is shuffled; the converters are keyed by file column."""
+    rows = shuffled(grid_rows((3, 2, 4)), seed=2)
+    path = tmp_path / "panel.csv"
+    fields = [r.split(",") for r in rows]
+    order = [4, 2, 3, 0, 1]  # x1, week, y, store, product
+    path.write_text("\n".join(["x1,week,y,store,product"] + [",".join(f[i] for i in order) for f in fields]) + "\n")
+    ref_labels, ref_y, ref_xs = reference_load(path, INDEX, "y", ["x1"])
+    frame, y, xs = load_panel_csv(path, INDEX, "y", ["x1"])
+    assert frame.dim_labels == ref_labels
+    assert_array_equal(y, ref_y)
+    assert_array_equal(xs[0], ref_xs[0])
 
 
 @pytest.mark.parametrize("long_label", [False, True])
