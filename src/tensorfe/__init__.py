@@ -54,7 +54,6 @@ from .inference import (
     var_homoskedastic,
 )
 from .kernel_fe import (
-    IterativeKernelFit,
     KernelFeFit,
     KernelSpec,
     ProjectionSet,
@@ -79,12 +78,10 @@ from .montecarlo import (
 )
 from .panel_io import PanelFrame, load_panel_csv, write_panel_csv
 from .tensor_ops import (
-    Hosvd,
     MultilinearRank,
     TruncatedSvd,
     cp_compose,
     flatten,
-    hosvd,
     hosvd_truncate,
     mode_bases,
     mode_product,
@@ -92,7 +89,6 @@ from .tensor_ops import (
     project,
     truncated_svd,
     unflatten,
-    vec,
 )
 
 __version__ = "0.1.0"
@@ -127,7 +123,6 @@ __all__ = [
     "var_hac",
     "var_heteroskedastic",
     "var_homoskedastic",
-    "IterativeKernelFit",
     "KernelFeFit",
     "KernelSpec",
     "ProjectionSet",
@@ -150,12 +145,10 @@ __all__ = [
     "PanelFrame",
     "load_panel_csv",
     "write_panel_csv",
-    "Hosvd",
     "MultilinearRank",
     "TruncatedSvd",
     "cp_compose",
     "flatten",
-    "hosvd",
     "hosvd_truncate",
     "mode_bases",
     "mode_product",
@@ -163,6 +156,5 @@ __all__ = [
     "project",
     "truncated_svd",
     "unflatten",
-    "vec",
     "__version__",
 ]

@@ -29,7 +29,6 @@ from .errors import EstimationError, PanelFormatError, RankError, TensorShapeErr
 from .kernel_fe import KERNEL_FAMILIES
 from .montecarlo import (
     EFFECTS_MODES,
-    ESTIMATOR_KINDS,
     VCOV_MODELS,
     EstimatorSpec,
     estimate_panel,
@@ -49,97 +48,74 @@ _DOMAIN_ERRORS = (
     np.linalg.LinAlgError,
 )
 
-METHOD_CHOICES = ("ols", "within", "factor", "ker", "keropt", "ik", "ic", "ic-split")
+# Method token -> (estimator kind, spec name, spec fields the token fixes).
+# The name is formatted with the factor's dimension ``dim`` or the bandwidth ``h``.
+_METHODS = {
+    "ols": ("ols", "ols", {}),
+    "within": ("within", "within", {}),
+    "factor": ("factor", "factor(dim={dim})", {}),
+    "ker": ("ker", "ker(h={h:g})", {"projection": "plain"}),
+    "keropt": ("ker", "keropt(h={h:g})", {"projection": "optimal"}),
+    "ik": ("ik", "ik(h={h:g})", {}),
+    "ic": ("ic", "ic(h={h:g})", {}),
+    "ic-split": ("ic", "ic-split(h={h:g})", {"split": True}),
+}
+METHOD_CHOICES = tuple(_METHODS)
 
 
-def _ints(value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    return tuple(int(tok) for tok in str(value).split(",") if tok != "")
-
-
-def _floats(value) -> tuple[float, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    return tuple(float(tok) for tok in str(value).split(",") if tok != "")
-
-
-def _strs(value) -> tuple[str, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(str(v) for v in value)
-    return tuple(tok.strip() for tok in str(value).split(",") if tok.strip())
+def _split(value, cast=str) -> tuple:
+    """A comma list (or a list from a JSON config) as a tuple of ``cast`` values, empty items dropped."""
+    items = value if isinstance(value, (list, tuple)) else [tok.strip() for tok in str(value).split(",")]
+    return tuple(cast(v) for v in items if v != "")
 
 
 _VCOV_ALIASES = {"homo": "homoskedastic", "hetero": "heteroskedastic"}
 
 
-def _method_to_spec(token: str, *, order: int, args, bandwidth: float, flatten_dim: int | None = None) -> EstimatorSpec:
+def _method_to_spec(token: str, *, args, bandwidth: float, flatten_dim: int = 1) -> EstimatorSpec:
     """Translate one CLI method token into an estimator spec."""
-    ranks = _ints(args.ranks) if getattr(args, "ranks", None) else None
-    proxy_ranks = _ints(args.proxy_rank) if getattr(args, "proxy_rank", None) else None
-    common = dict(
+    if token not in _METHODS:
+        raise ValueError(f"unknown estimator {token!r}; choose from {METHOD_CHOICES}")
+    kind, name, fixed = _METHODS[token]
+    if kind == "factor":
+        fixed = {"flatten_dim": flatten_dim}
+    if fixed.get("split"):
+        fixed = dict(fixed, split_dim=args.split_dim)
+    return EstimatorSpec(
+        name=name.format(dim=flatten_dim, h=bandwidth),
+        kind=kind,
         n_factors=args.factors,
         prelim_dim=args.prelim_dim,
-        proxy_ranks=proxy_ranks,
+        proxy_ranks=_split(args.proxy_rank, int) if args.proxy_rank else None,
         kernel=args.kernel,
         bandwidth=bandwidth,
-        ranks=ranks,
+        ranks=_split(args.ranks, int) if args.ranks else None,
         effects=args.effects,
         vcov=_VCOV_ALIASES.get(args.vcov, args.vcov),
-        lags=_ints(args.lags) if "," in str(args.lags) else int(str(args.lags)),
+        lags=_split(args.lags, int) if "," in str(args.lags) else int(str(args.lags)),
         level=args.level,
+        **fixed,
     )
-    if token == "ols":
-        return EstimatorSpec(name="ols", kind="ols", **common)
-    if token == "within":
-        return EstimatorSpec(name="within", kind="within", **common)
-    if token == "factor":
-        dim = flatten_dim if flatten_dim is not None else 1
-        return EstimatorSpec(name=f"factor(dim={dim})", kind="factor", flatten_dim=dim, **common)
-    if token == "ker":
-        return EstimatorSpec(name=f"ker(h={bandwidth:g})", kind="ker", projection="plain", **common)
-    if token == "keropt":
-        return EstimatorSpec(name=f"keropt(h={bandwidth:g})", kind="ker", projection="optimal", **common)
-    if token == "ik":
-        return EstimatorSpec(name=f"ik(h={bandwidth:g})", kind="ik", **common)
-    if token == "ic":
-        return EstimatorSpec(name=f"ic(h={bandwidth:g})", kind="ic", **common)
-    if token == "ic-split":
-        return EstimatorSpec(
-            name=f"ic-split(h={bandwidth:g})",
-            kind="ic",
-            split=True,
-            split_dim=getattr(args, "split_dim", None),
-            **common,
-        )
-    raise ValueError(f"unknown estimator {token!r}; choose from {METHOD_CHOICES}")
 
 
 def _expand_estimators(tokens, order: int, bandwidths, args) -> list[EstimatorSpec]:
+    """Specs for ``--estimators``: ``factor`` fits every dimension, ``factor:<d>`` one, kernel methods every bandwidth."""
     specs: list[EstimatorSpec] = []
     for token in tokens:
-        if token in ("ols", "within"):
-            specs.append(_method_to_spec(token, order=order, args=args, bandwidth=bandwidths[0]))
-        elif token == "factor":
-            for dim in range(1, order + 1):
-                specs.append(
-                    _method_to_spec("factor", order=order, args=args, bandwidth=bandwidths[0], flatten_dim=dim)
-                )
-        elif token.startswith("factor:"):
-            dim = int(token.split(":", 1)[1])
-            specs.append(
-                _method_to_spec("factor", order=order, args=args, bandwidth=bandwidths[0], flatten_dim=dim)
-            )
-        elif token in ("ker", "keropt", "ik", "ic", "ic-split"):
-            for h in bandwidths:
-                specs.append(_method_to_spec(token, order=order, args=args, bandwidth=h))
-        else:
+        method, colon, dim = token.partition(":")
+        if method not in _METHODS or (colon and method != "factor"):
             raise ValueError(f"unknown estimator {token!r}; choose from {METHOD_CHOICES} or factor:<dim>")
+        if method == "factor":
+            dims = [int(dim)] if colon else range(1, order + 1)
+            specs += [_method_to_spec(method, args=args, bandwidth=bandwidths[0], flatten_dim=d) for d in dims]
+        else:
+            hs = bandwidths[:1] if method in ("ols", "within") else bandwidths
+            specs += [_method_to_spec(method, args=args, bandwidth=h) for h in hs]
     return specs
 
 
 def _cmd_simulate(args) -> int:
-    dims = _ints(args.dims)
+    dims = _split(args.dims, int)
     config = DgpConfig(
         design=args.design,
         dims=dims,
@@ -147,8 +123,8 @@ def _cmd_simulate(args) -> int:
         n_components=args.components,
         permute_cross_sections=not args.no_permute,
     )
-    bandwidths = _floats(args.bandwidths)
-    specs = _expand_estimators(_strs(args.estimators), len(dims), bandwidths, args)
+    bandwidths = _split(args.bandwidths, float)
+    specs = _expand_estimators(_split(args.estimators), len(dims), bandwidths, args)
     summary = run_monte_carlo(
         config,
         specs,
@@ -205,7 +181,7 @@ def _write_records_csv(path, records) -> None:
 
 
 def _load_panel(args):
-    return load_panel_csv(args.input, _strs(args.index_cols), args.y, _strs(args.x))
+    return load_panel_csv(args.input, _split(args.index_cols), args.y, _split(args.x))
 
 
 def _cmd_estimate(args) -> int:
@@ -215,13 +191,7 @@ def _cmd_estimate(args) -> int:
         if token != "ic":
             raise ValueError("--split only applies to the corrected estimator (--method ic)")
         token = "ic-split"
-    spec = _method_to_spec(
-        token,
-        order=y.ndim,
-        args=args,
-        bandwidth=args.bandwidth,
-        flatten_dim=args.flatten_dim if token == "factor" else None,
-    )
+    spec = _method_to_spec(token, args=args, bandwidth=args.bandwidth, flatten_dim=args.flatten_dim)
     report = estimate_panel(y, xs, spec)
     print(f"method: {report.method}   variance: {report.variance_model}   cells: {report.n_cells}")
     print(f"{'coefficient':<14} {'estimate':>10} {'std.err':>10} {'ci_lower':>10} {'ci_upper':>10}")

@@ -7,7 +7,10 @@ flattening of the data net of the regression part (Bai 2009, Econometrica
 ``B_k`` the flattened outcome and regressors, the residual's row Gram matrix
 ``S(beta)`` is a quadratic form in the ``N_n x N_n`` blocks ``A A'``,
 ``A B_k'`` and ``B_k B_l'`` (``k <= l``), formed and symmetrized once, and
-``f(beta) = tr S(beta) - sum_{i <= r} lambda_i(S(beta))``.  Everything an
+``f(beta) = tr S(beta) - sum_{i <= r} lambda_i(S(beta))``.  When ``N_n > M``
+the flattenings are transposed first, so the blocks are ``min(N_n, M)``
+square; the nonzero eigenvalues, hence ``f`` and the steps, are the same on
+either side (Bai 2009, section 3).  Everything an
 iteration needs besides one ``eigh`` of ``S`` is a product of those blocks
 with its eigenvectors.  The reported loadings, factors, and residual come
 from one thin SVD of the last iterate's residual projected on the top
@@ -210,6 +213,12 @@ def fit_factor_model(
             objective_trace=[objective],
         )
 
+    # A tall flattening (N_n > M) is fitted on its transposes: M x M blocks.
+    tall = n_rows > a.shape[1]
+    if tall:
+        a, bs = a.T, [b.T for b in bs]
+        n_rows = a.shape[0]
+
     # Row-Gram blocks A A', A B_k' and B_k B_l' (k <= l), each symmetrized
     # once: a quadratic form sees only a block's symmetric part, and the
     # residual row Gram matrix, the OLS step's projected inner products and
@@ -276,14 +285,13 @@ def fit_factor_model(
     # come from the residual itself, at no further Gram product or eigh.
     resid_mat = net_of(a, bs, beta)
     svd = _complete_svd(resid_mat, n_factors, eigvals, eigvecs)
-    loadings = svd.u * svd.s
-    factors = svd.v
-    defactored = resid_mat - loadings @ factors.T
+    defactored = resid_mat - (svd.u * svd.s) @ svd.v.T
+    rows, cols = (svd.v, svd.u) if tall else (svd.u, svd.v)
     return FactorFit(
         beta=beta,
-        loadings=loadings,
-        factors=factors,
-        residual=_unflatten(defactored, flatten_dim, y_arr.shape),
+        loadings=rows * svd.s,
+        factors=cols,
+        residual=_unflatten(defactored.T if tall else defactored, flatten_dim, y_arr.shape),
         flatten_dim=flatten_dim,
         n_factors=n_factors,
         iterations=iterations,

@@ -269,17 +269,35 @@ def standard_within(t, dims=None) -> np.ndarray:
 
 @dataclass
 class KernelFeFit:
-    """Pooled OLS on kernel-within-transformed data."""
+    """Pooled OLS on kernel-within-transformed data.
+
+    ``degenerate_rows`` lists isolated units by dimension, or by
+    ``(dim, m)`` for the weights :func:`iterative_kernel_fe` builds from the
+    ``m``-th proxy column (1-indexed) of a dimension.
+    """
 
     beta: np.ndarray
     y_within: np.ndarray
     x_within: list[np.ndarray]
     projections: ProjectionSet
-    degenerate_rows: dict[int, np.ndarray] = field(default_factory=dict)
+    degenerate_rows: dict = field(default_factory=dict)
 
     @property
     def residual(self) -> np.ndarray:
         return net_of(self.y_within, self.x_within, self.beta)
+
+
+def _within_fit(y, x, projections: ProjectionSet, degenerate_rows: dict) -> KernelFeFit:
+    # The shared tail of both kernel estimators: transform, then pooled OLS.
+    y_arr = as_tensor(y, name="outcome", min_order=2)
+    xs = regressor_list(x, y_arr.shape)
+    for d in projections.dims:
+        if projections.variant == "optimal" and not np.any(projections.mats[d]):
+            raise EstimationError(f"the optimal projection removes all data: dimension {d}'s kernel weights have full rank")
+    y_t = _within(y_arr, projections)
+    x_t = [_within(xk, projections) for xk in xs]
+    beta = solve_gram(*cross_moments(x_t, y_t))
+    return KernelFeFit(beta=beta, y_within=y_t, x_within=x_t, projections=projections, degenerate_rows=degenerate_rows)
 
 
 def kernel_fe_estimate(y, x, projections: ProjectionSet, *, weight_set: WeightSet | None = None) -> KernelFeFit:
@@ -289,38 +307,10 @@ def kernel_fe_estimate(y, x, projections: ProjectionSet, *, weight_set: WeightSe
     the originating :class:`WeightSet` forwards its degenerate-row diagnostic
     into the fit.
     """
-    y_arr = as_tensor(y, name="outcome", min_order=2)
-    xs = regressor_list(x, y_arr.shape)
-    for d in projections.dims:
-        if projections.variant == "optimal" and not np.any(projections.mats[d]):
-            raise EstimationError(f"the optimal projection removes all data: dimension {d}'s kernel weights have full rank")
-    y_t = _within(y_arr, projections)
-    x_t = [_within(xk, projections) for xk in xs]
-    beta = solve_gram(*cross_moments(x_t, y_t))
-    return KernelFeFit(
-        beta=beta,
-        y_within=y_t,
-        x_within=x_t,
-        projections=projections,
-        degenerate_rows=dict(weight_set.degenerate_rows) if weight_set is not None else {},
-    )
+    return _within_fit(y, x, projections, dict(weight_set.degenerate_rows) if weight_set is not None else {})
 
 
-@dataclass
-class IterativeKernelFit:
-    """Pooled OLS after per-proxy-column within sweeps.
-
-    ``degenerate_rows[(dim, m)]`` lists the isolated units of the weights
-    built from the ``m``-th proxy column (1-indexed) of that dimension.
-    """
-
-    beta: np.ndarray
-    y_within: np.ndarray
-    x_within: list[np.ndarray]
-    degenerate_rows: dict[tuple[int, int], np.ndarray]
-
-
-def iterative_kernel_fe(y, x, proxies, spec: KernelSpec, dims=None) -> IterativeKernelFit:
+def iterative_kernel_fe(y, x, proxies, spec: KernelSpec, dims=None) -> KernelFeFit:
     """Kernel-weighted estimate sweeping one proxy column at a time.
 
     Instead of one weight matrix per dimension built from vector proxy
@@ -329,11 +319,8 @@ def iterative_kernel_fe(y, x, proxies, spec: KernelSpec, dims=None) -> Iterative
     column, and contributes one ``I - W`` factor; a
     dimension's transform is the product of its column factors.  With a single
     proxy column per dimension this reproduces :func:`kernel_fe_estimate`
-    exactly.
+    exactly.  ``degenerate_rows`` is keyed by ``(dim, column)``.
     """
-    y_arr = as_tensor(y, name="outcome", min_order=2)
-    xs = regressor_list(x, y_arr.shape)
-
     degenerate: dict[tuple[int, int], np.ndarray] = {}
     composed: dict[int, np.ndarray] = {}
     for d, u in _proxy_matrices(proxies, dims).items():
@@ -343,9 +330,4 @@ def iterative_kernel_fe(y, x, proxies, spec: KernelSpec, dims=None) -> Iterative
             degenerate[(d, m + 1)] = column.degenerate_rows[d]
             transform = (np.eye(u.shape[0]) - column.weights[d]) @ transform
         composed[d] = transform
-
-    projections = ProjectionSet(mats=composed, variant="plain")
-    y_t = _within(y_arr, projections)
-    x_t = [_within(xk, projections) for xk in xs]
-    beta = solve_gram(*cross_moments(x_t, y_t))
-    return IterativeKernelFit(beta=beta, y_within=y_t, x_within=x_t, degenerate_rows=degenerate)
+    return _within_fit(y, x, ProjectionSet(mats=composed, variant="plain"), degenerate)

@@ -4,7 +4,6 @@ Conventions (frozen; every routine in the package relies on them):
 
 * Dimensions are 1-indexed in all public APIs, matching the usual panel
   notation where "dimension 1" is the first index of the array.
-* ``vec`` linearizes with dimension 1 fastest (Fortran order).
 * ``flatten(t, n)`` puts mode ``n`` on the rows; its columns run over the
   remaining dimensions in the cyclic order ``n+1, ..., d, 1, ..., n-1`` with
   the first-listed dimension varying fastest.
@@ -74,11 +73,6 @@ def check_dim(dim: int, order: int) -> int:
     if not 1 <= dim <= order:
         raise RankError(f"dimension index {dim} out of range for order-{order} tensor")
     return int(dim)
-
-
-def vec(t) -> np.ndarray:
-    """Linearize a tensor with dimension 1 varying fastest."""
-    return as_tensor(t).reshape(-1, order="F")
 
 
 def _cyclic_perm(dim: int, order: int) -> tuple[int, ...]:
@@ -227,8 +221,8 @@ def truncated_svd(m, k: int) -> TruncatedSvd:
 
     ``side`` is the matrix or its transpose, whichever has fewer rows.  The
     leading subspace comes from ``eigh`` of the small Gram matrix
-    ``side @ side.T``; an exact thin SVD of the ``k x long`` image
-    ``q.T @ side`` of its top-``k`` eigenvectors ``q`` then gives the
+    ``side @ side.T``; an exact thin SVD of the ``long x k`` image
+    ``side.T @ q`` of its top-``k`` eigenvectors ``q`` then gives the
     singular values and both sets of vectors, and the tail is the square
     root of the discarded eigenvalues clipped at zero.  A direction missing
     from the data has ``|q_i.T @ side|`` of order ``eps * ||m||``, so
@@ -258,26 +252,12 @@ def _complete_svd(side: np.ndarray, k: int, eigvals: np.ndarray, eigvecs: np.nda
     per discarded row.
     """
     top = eigvecs[:, ::-1][:, :k]
-    rot, s, vh = np.linalg.svd(top.T @ side, full_matrices=False)
+    # The SVD of the long-by-k image: LAPACK's tall path is the faster one.
+    v, s, rot = np.linalg.svd(side.T @ top, full_matrices=False)
     tail = np.sqrt(np.clip(eigvals[::-1][k:], 0.0, None))
     s = np.concatenate([s, tail])
     s = np.where(s < SVD_ZERO_RTOL * s[0], 0.0, s) if s.size else s
-    return TruncatedSvd(u=top @ rot, s=s[:k], v=vh.T, tail=s[k:])
-
-
-@dataclass
-class Hosvd:
-    """Higher-order SVD: orthonormal mode bases plus the projected core."""
-
-    core: np.ndarray
-    bases: list[np.ndarray]
-    ranks: tuple[int, ...]
-
-    def compose(self) -> np.ndarray:
-        out = self.core
-        for i, basis in enumerate(self.bases):
-            out = mode_product(out, basis, i + 1)
-        return out
+    return TruncatedSvd(u=top @ rot.T, s=s[:k], v=v, tail=s[k:])
 
 
 def mode_bases(t, ranks, dims=None) -> dict[int, np.ndarray]:
@@ -312,7 +292,8 @@ def _mode_bases(arr: np.ndarray, ranks, dims=None) -> dict[int, np.ndarray]:
 def project(t, bases) -> np.ndarray:
     """Apply ``B (B.T .)`` along each mode ``d`` of ``bases``, as two thin mode products.
 
-    For orthonormal bases this is an orthogonal projection in vec space, a
+    For orthonormal bases this is an orthogonal projection of the vectorized
+    tensor, a
     fact the orthogonalized estimators rely on; a zero-width basis gives exact
     zeros.
     """
@@ -329,29 +310,11 @@ def _project(arr: np.ndarray, bases) -> np.ndarray:
     return arr
 
 
-def hosvd(t, ranks) -> Hosvd:
-    """Higher-order SVD truncated to the given multilinear ranks.
-
-    Each mode basis comes from :func:`mode_bases` on the *original* tensor
-    (the identity at full rank); the core is the tensor multiplied by all the
-    transposed bases.
-    """
-    arr = as_tensor(t)
-    ranks = tuple(int(r) for r in ranks)
-    fitted = _mode_bases(arr, ranks)
-    core = arr
-    for d, basis in fitted.items():
-        core = _mode_product(core, basis.T, d)
-    bases = [fitted.get(n + 1, np.eye(size)) for n, size in enumerate(arr.shape)]
-    return Hosvd(core=core, bases=bases, ranks=ranks)
-
-
 def hosvd_truncate(t, ranks) -> np.ndarray:
     """Multilinear projection of ``t`` onto its leading HOSVD subspaces.
 
-    ``project(t, mode_bases(t, ranks))``: equal to composing :func:`hosvd`,
-    the identity along full-rank modes and the zero tensor when any rank is
-    zero.
+    ``project(t, mode_bases(t, ranks))``: the identity along full-rank modes
+    and the zero tensor when any rank is zero.
     """
     arr = as_tensor(t)
     return _project(arr, _mode_bases(arr, ranks))

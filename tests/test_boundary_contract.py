@@ -28,7 +28,6 @@ from tensorfe import (
     estimate_panel,
     fit_factor_model,
     flatten,
-    hosvd,
     hosvd_truncate,
     iterative_kernel_fe,
     kernel_fe_estimate,
@@ -46,7 +45,6 @@ from tensorfe import (
     var_hac,
     var_heteroskedastic,
     var_homoskedastic,
-    vec,
     weighted_within,
     write_panel_csv,
 )
@@ -67,7 +65,6 @@ FIT = fit_factor_model(Y, X, 1, 1)
 
 # (function applied to the poisoned array, the clean array it poisons)
 CASES = {
-    "vec": (vec, Y),
     "flatten": (lambda t: flatten(t, 2), Y),
     "unflatten": (lambda m: unflatten(m, 2, SHAPE), flatten(Y, 2)),
     "mode_product tensor": (lambda t: mode_product(t, MAT, 1), Y),
@@ -77,7 +74,6 @@ CASES = {
     "mode_bases": (lambda t: mode_bases(t, (2, 2, 2)), Y),
     "project tensor": (lambda t: project(t, mode_bases(Y, (2, 2, 2))), Y),
     "project basis": (lambda b: project(Y, {1: b}), np.linalg.qr(MAT.T)[0][:, :2]),
-    "hosvd": (lambda t: hosvd(t, (2, 2, 2)), Y),
     "hosvd_truncate": (lambda t: hosvd_truncate(t, (2, 2, 2)), Y),
     "multilinear_rank": (multilinear_rank, Y),
     "fit_factor_model y": (lambda y: fit_factor_model(y, X, 1, 1), Y),

@@ -306,6 +306,24 @@ def test_defactoring_memory_is_linear_in_the_cells():
     assert peak < 10 * x.nbytes
 
 
+def test_tall_fit_memory_is_linear_in_the_cells():
+    """A 1000 x 10 x 10 panel flattened on dimension 1 has N_n = 1000 > M = 100.
+
+    The fit works on the M x M side of the flattening.  On the row side each
+    N_n x N_n Gram block would take 8 MB, ten times the panel.
+    """
+    panel = draw(DgpConfig("growing", (1000, 10, 10)), 0)
+    tracemalloc.start()
+    try:
+        fit = fit_factor_model(panel.outcome, panel.regressors, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    assert fit.loadings.shape == (1000, 2) and fit.factors.shape == (100, 2)
+    assert peak < 8 * panel.outcome.nbytes
+
+
 def test_proxies_span_rank_one_direction():
     rng = np.random.default_rng(7)
     vecs = [rng.standard_normal(9) for _ in range(3)]

@@ -261,6 +261,26 @@ def test_hac_clip_removes_only_rounding(seed):
     assert_close_in_norm(var_hac(etas, resid, lags), brute_force_hac(etas, resid, lags, clip=False), 1e-12)
 
 
+def layouts(a):
+    """The same values as a C-ordered array, an F-ordered array and a strided view."""
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "strided": np.repeat(a, 2, axis=1)[:, ::2]}
+
+
+@pytest.mark.parametrize("lags", [(0, 0, 0), (1, 1, 1), (2, 0, 1)])
+@pytest.mark.parametrize("n_reg", [1, 2])
+def test_hac_does_not_depend_on_memory_layout(lags, n_reg):
+    """The factor estimator hands ``var_hac`` an F-ordered residual; every layout must give the same matrix."""
+    rng = np.random.default_rng(20 + n_reg)
+    shape = (5, 4, 3)
+    etas = [rng.standard_normal(shape) for _ in range(n_reg)]
+    resid = ma1_field(rng, shape)
+    expected = var_hac(etas, resid, lags)
+    assert np.all(np.diag(expected) > 0.0)
+    for eta_kind, resid_kind in itertools.product(("C", "F", "strided"), repeat=2):
+        got = var_hac([layouts(e)[eta_kind] for e in etas], layouts(resid)[resid_kind], lags)
+        assert_close_in_norm(got, expected, 1e-12)
+
+
 def test_zero_lags_equal_heteroskedastic_exactly():
     rng = np.random.default_rng(13)
     eta = rng.standard_normal((5, 5, 5))

@@ -1,5 +1,6 @@
 """Monte Carlo driver: determinism, summaries, failure accounting."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -98,6 +99,53 @@ def test_failed_rounds_are_excluded_from_moments():
     assert row.nonconverged == 1
     assert row.ok == 2
     assert row.bias == pytest.approx(0.0, abs=1e-12)
+
+
+def summary_by_the_array_formulas(records, beta_true, specs):
+    """Every ``McRow`` field by array statistics over the ok records, whatever their number."""
+    target = float(beta_true)
+    rows = []
+    for spec in specs:
+        recs = [r for r in records if r.estimator == spec.name]
+        ok = [r for r in recs if not r.failed]
+        est = np.array([r.estimate[0] for r in ok])
+        ses = np.array([r.se[0] for r in ok])
+        cover = np.array([r.ci_lower[0] <= target <= r.ci_upper[0] for r in ok]) if ok else np.array([])
+        q_lo, q_hi = np.quantile(est - target, [0.025, 0.975]) if ok else (float("nan"), float("nan"))
+        bias = float(est.mean() - target) if ok else float("nan")
+        sd = float(est.std(ddof=1)) if len(ok) > 1 else (0.0 if ok else float("nan"))
+        rows.append((
+            spec.name, len(recs), len(ok), len(recs) - len(ok),
+            sum(1 for r in recs if not r.converged and not r.failed),
+            bias, sd, float(np.hypot(bias, sd)) if ok else float("nan"),
+            float(cover.mean()) if ok else float("nan"), float(ses.mean()) if ok else float("nan"),
+            spec.level, float(np.mean([r.seconds for r in recs])) if recs else 0.0, float(q_lo), float(q_hi),
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("n_rounds", [1, 2, 40])
+def test_summary_fields_equal_the_array_formulas(n_rounds):
+    """``summarize`` skips array statistics for a single ok record; every field stays what they give.
+
+    Estimator ``a`` has every round ok, ``b`` fails its first round and ``c``
+    has no records at all.
+    """
+    rng = np.random.default_rng(n_rounds)
+    records = []
+    for i in range(n_rounds):
+        for name in ("a", "b"):
+            est, se = 1.0 + 0.3 * rng.standard_normal(), 0.05 + 0.2 * rng.random()
+            rec = record(name, est, idx=i, se=se, converged=bool(rng.random() < 0.8))
+            rec.seconds = float(rng.random())
+            if name == "b" and i == 0:
+                rec = record(name, float("nan"), idx=i, failed=True, converged=False)
+            records.append(rec)
+    specs = [EstimatorSpec(name, "ols", level=0.9) for name in ("a", "b", "c")]
+    rows = summarize(records, 1.0, specs)
+    expected = summary_by_the_array_formulas(records, 1.0, specs)
+    for row, want in zip(rows, expected, strict=True):
+        np.testing.assert_equal(dataclasses.astuple(row), want)
 
 
 # -- the driver ---------------------------------------------------------------

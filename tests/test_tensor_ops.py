@@ -10,7 +10,6 @@ from tensorfe.factor import residual_proxies
 from tensorfe.tensor_ops import (
     cp_compose,
     flatten,
-    hosvd,
     hosvd_truncate,
     mode_bases,
     mode_product,
@@ -18,7 +17,6 @@ from tensorfe.tensor_ops import (
     project,
     truncated_svd,
     unflatten,
-    vec,
 )
 
 SHAPES = [(2, 3, 4), (3, 3), (4, 2, 3, 2), (5, 1, 3), (2, 2, 2, 2)]
@@ -76,11 +74,6 @@ def test_flatten_unflatten_roundtrip_bit_exact(shape, seed, data):
     t = np.random.default_rng(seed).standard_normal(shape)
     back = unflatten(flatten(t, dim), dim, shape)
     assert_array_equal(back, t)  # exact, not approximate
-
-
-def test_vec_is_column_major():
-    m = np.arange(6, dtype=float).reshape(2, 3)
-    assert_array_equal(vec(m), [0, 3, 1, 4, 2, 5])
 
 
 def test_mode_product_all_ones():
@@ -244,8 +237,7 @@ def test_truncated_svd_beats_random_candidates():
 
 def test_hosvd_reconstructs_rank_one_exactly():
     t, _ = random_cp(np.random.default_rng(23), (4, 5, 3), 1)
-    fit = hosvd(t, (1, 1, 1))
-    assert_allclose(fit.compose(), t, atol=1e-10)
+    assert_allclose(hosvd_truncate(t, (1, 1, 1)), t, atol=1e-10)
 
 
 def test_hosvd_exact_at_true_multilinear_rank():
@@ -253,7 +245,7 @@ def test_hosvd_exact_at_true_multilinear_rank():
     for _ in range(20):
         t, _ = random_cp(rng, (6, 5, 7), int(rng.integers(1, 4)))
         ranks = multilinear_rank(t).ranks
-        err = np.linalg.norm(hosvd(t, ranks).compose() - t)
+        err = np.linalg.norm(hosvd_truncate(t, ranks) - t)
         assert err <= 1e-8 * np.linalg.norm(t)
 
 
@@ -282,7 +274,6 @@ def test_hosvd_truncate_full_ranks_is_identity():
 def test_rank_above_a_narrow_flattening_keeps_every_vector():
     t = np.random.default_rng(43).standard_normal((6, 2, 1))  # dimension 1 flattens to 6 x 2
     assert_allclose(hosvd_truncate(t, (4, 2, 1)), t, atol=1e-12)
-    assert_allclose(hosvd(t, (4, 2, 1)).compose(), t, atol=1e-12)
 
 
 def dense_projection(t, bases):
