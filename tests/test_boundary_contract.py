@@ -97,8 +97,15 @@ CASES = {
     "smoothed_effects": (lambda r: smoothed_effects(r, WITHIN), Y),
     "standard_within": (standard_within, Y),
     "kernel_fe_estimate": (lambda y: kernel_fe_estimate(y, X, WITHIN), Y),
+    "kernel_fe_estimate x": (lambda x: kernel_fe_estimate(Y, x, WITHIN), X),
     "iterative_kernel_fe": (lambda x: iterative_kernel_fe(Y, x, PROXIES, KernelSpec(bandwidth=1.0)), X),
+    "iterative_kernel_fe y": (lambda y: iterative_kernel_fe(y, X, PROXIES, KernelSpec(bandwidth=1.0)), Y),
+    "iterative_kernel_fe proxies": (
+        lambda u: iterative_kernel_fe(Y, X, {**PROXIES, 2: u}, KernelSpec(bandwidth=1.0)),
+        np.column_stack([PROXIES[2], np.ones(SHAPE[1])]),
+    ),
     "estimate_panel": (lambda y: estimate_panel(y, X, EstimatorSpec(name="ols", kind="ols")), Y),
+    "estimate_panel x": (lambda x: estimate_panel(Y, x, EstimatorSpec(name="ik", kind="ik", bandwidth=1.0)), X),
 }
 
 
