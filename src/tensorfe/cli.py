@@ -124,6 +124,8 @@ def _cmd_simulate(args) -> int:
         permute_cross_sections=not args.no_permute,
     )
     bandwidths = _split(args.bandwidths, float)
+    if not bandwidths:
+        raise ValueError("--bandwidths needs at least one value")
     specs = _expand_estimators(_split(args.estimators), len(dims), bandwidths, args)
     summary = run_monte_carlo(
         config,

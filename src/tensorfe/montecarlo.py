@@ -259,15 +259,15 @@ def _point_estimate(spec: EstimatorSpec, ws: _PanelWorkspace):
         diag = {"iterations": fit.iterations, "objective": fit.objective}
         return fit.beta, defactored_regressors(fit, xs), fit.residual, fit.converged, diag
     fold_converged: list[bool] = []
-    if spec.kind in ("ker", "ik"):
-        if spec.kind == "ker":
-            fit = ws.kernel_fit(spec)
-        else:
-            proxies = ws.proxies(spec.resolved_proxy_ranks, spec.n_factors, spec.prelim_dim)
-            fit = iterative_kernel_fe(y, xs, proxies, KernelSpec(family=spec.kernel, bandwidth=spec.bandwidth))
-        # ``ik`` keys its isolated units by (dimension, proxy column), reported as "d.m".
-        rows = {".".join(map(str, k)) if isinstance(k, tuple) else k: len(v) for k, v in fit.degenerate_rows.items()}
-        diag = {"degenerate_rows": rows}
+    if spec.kind == "ker":
+        fit = ws.kernel_fit(spec)
+        diag = {"degenerate_rows": {d: len(v) for d, v in fit.degenerate_rows.items()}}
+        eta, resid = fit.x_within, fit.residual
+    elif spec.kind == "ik":
+        proxies = ws.proxies(spec.resolved_proxy_ranks, spec.n_factors, spec.prelim_dim)
+        kspec = KernelSpec(family=spec.kernel, bandwidth=spec.bandwidth)
+        fit = iterative_kernel_fe(y, xs, proxies, kspec)
+        diag = {"degenerate_rows": {f"{d}.{m}": len(v) for (d, m), v in fit.degenerate_rows.items()}}
         eta, resid = fit.x_within, fit.residual
     else:  # corrected estimator
         ranks = spec.ranks if spec.ranks is not None else (spec.n_factors,) * y.ndim
@@ -389,24 +389,15 @@ def summarize(records, beta_true, specs=None, level: float | None = None) -> lis
 
     levels = {spec.name: spec.level for spec in specs} if specs is not None else {}
     rows = []
-    nan = float("nan")
     for name in order:
         recs = by_name[name]
         ok = [r for r in recs if not r.failed]
-        seconds = [r.seconds for r in recs]
-        # One record needs no array statistics: run_monte_carlo(rounds=1) summarizes every round.
-        if len(ok) > 1:
-            est = np.array([r.estimate[0] for r in ok])
-            q_lo, q_hi = np.quantile(est - target, [0.025, 0.975])
-            bias, sd = float(est.mean() - target), float(est.std(ddof=1))
-            coverage = float(np.mean([r.ci_lower[0] <= target <= r.ci_upper[0] for r in ok]))
-            mean_se = float(np.mean([r.se[0] for r in ok]))
-        elif ok:
-            bias = q_lo = q_hi = float(ok[0].estimate[0] - target)
-            sd, mean_se = 0.0, float(ok[0].se[0])
-            coverage = float(ok[0].ci_lower[0] <= target <= ok[0].ci_upper[0])
-        else:
-            bias = sd = coverage = mean_se = q_lo = q_hi = nan
+        est = np.array([r.estimate[0] for r in ok])
+        ses = np.array([r.se[0] for r in ok])
+        cover = np.array([r.ci_lower[0] <= target <= r.ci_upper[0] for r in ok]) if ok else np.array([])
+        q_lo, q_hi = (np.quantile(est - target, [0.025, 0.975]) if ok else (float("nan"), float("nan")))
+        bias = float(est.mean() - target) if ok else float("nan")
+        sd = float(est.std(ddof=1)) if len(ok) > 1 else (0.0 if ok else float("nan"))
         rows.append(
             McRow(
                 estimator=name,
@@ -416,11 +407,11 @@ def summarize(records, beta_true, specs=None, level: float | None = None) -> lis
                 nonconverged=sum(1 for r in recs if not r.converged and not r.failed),
                 bias=bias,
                 sd=sd,
-                rmse=float(np.hypot(bias, sd)),
-                coverage=coverage,
-                mean_se=mean_se,
+                rmse=float(np.hypot(bias, sd)) if ok else float("nan"),
+                coverage=float(cover.mean()) if ok else float("nan"),
+                mean_se=float(ses.mean()) if ok else float("nan"),
                 level=levels.get(name, level if level is not None else 0.95),
-                mean_seconds=float(np.mean(seconds)) if len(seconds) > 1 else float(sum(seconds)),
+                mean_seconds=float(np.mean([r.seconds for r in recs])) if recs else 0.0,
                 bias_q025=float(q_lo),
                 bias_q975=float(q_hi),
             )

@@ -245,11 +245,9 @@ def _truncated_svd(mat: np.ndarray, k: int) -> TruncatedSvd:
 
 
 def _complete_svd(side: np.ndarray, k: int, eigvals: np.ndarray, eigvecs: np.ndarray) -> TruncatedSvd:
-    """Rank-``k`` SVD of ``side`` from ``eigvals, eigvecs = eigh(side @ side.T)``.
+    """Rank-``k`` SVD of ``side``, the shorter (or square) side, from ``eigvals, eigvecs = eigh(side @ side.T)``.
 
-    A caller that already holds that decomposition (the factor fit) passes it
-    in; ``side`` need not be the shorter side, and ``tail`` then has one entry
-    per discarded row.
+    A caller that already holds that decomposition (the factor fit) passes it in.
     """
     top = eigvecs[:, ::-1][:, :k]
     # The SVD of the long-by-k image: LAPACK's tall path is the faster one.

@@ -206,6 +206,21 @@ def test_missing_input_file_fails_cleanly(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [None, {"bandwidths": []}])
+def test_simulate_rejects_empty_bandwidths(tmp_path, capsys, config):
+    """An empty bandwidth list fails for every estimator, not only for those that read a bandwidth."""
+    argv = ["simulate", "--dims", "6,6,6", "--rounds", "1", "--estimators", "ols,within"]
+    if config is None:
+        argv += ["--bandwidths", ","]
+    else:
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), *argv]
+    code = main(argv)
+    assert code == 1
+    assert "--bandwidths" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--frobnicate"])

@@ -126,7 +126,7 @@ def summary_by_the_array_formulas(records, beta_true, specs):
 
 @pytest.mark.parametrize("n_rounds", [1, 2, 40])
 def test_summary_fields_equal_the_array_formulas(n_rounds):
-    """``summarize`` skips array statistics for a single ok record; every field stays what they give.
+    """Every ``summarize`` field equals the array formulas for one, two and many rounds.
 
     Estimator ``a`` has every round ok, ``b`` fails its first round and ``c``
     has no records at all.
