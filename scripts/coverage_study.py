@@ -16,8 +16,6 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from tensorfe.dgp import DgpConfig
 from tensorfe.montecarlo import EstimatorSpec, run_monte_carlo
 
@@ -67,11 +65,9 @@ def main(argv=None):
         print(summary.format_table())
         print("empirical 95% band of the slope error:")
         for spec in specs:
-            errs = np.array(
-                [r.estimate[0] - 1.0 for r in summary.records if r.estimator == spec.name and not r.failed]
-            )
-            lo, hi = np.quantile(errs, [0.025, 0.975])
-            marker = "covers 0" if lo <= 0.0 <= hi else "excludes 0"
+            row = summary.row(spec.name)
+            lo, hi = row.bias_q025, row.bias_q975
+            marker = "covers 0" if lo <= 0.0 <= hi else "excludes 0" if row.ok else "every round failed"
             print(f"  {spec.name:10s} [{lo:+.4f}, {hi:+.4f}]  {marker}")
     return 0
 

@@ -5,6 +5,8 @@
 prints per-dimension singular-value spectra and numerical multilinear ranks
 (useful for picking factor counts and truncation ranks).  A JSON file passed
 via ``--config`` supplies defaults for any flag (command-line values win).
+The per-dimension flags ``--ranks``, ``--proxy-rank`` and ``--lags`` take one
+value for every dimension or a comma list with one value per dimension.
 """
 
 from __future__ import annotations
@@ -69,9 +71,6 @@ def _split(value, cast=str) -> tuple:
     return tuple(cast(v) for v in items if v != "")
 
 
-_VCOV_ALIASES = {"homo": "homoskedastic", "hetero": "heteroskedastic"}
-
-
 def _method_to_spec(token: str, *, args, bandwidth: float, flatten_dim: int = 1) -> EstimatorSpec:
     """Translate one CLI method token into an estimator spec."""
     if token not in _METHODS:
@@ -91,8 +90,8 @@ def _method_to_spec(token: str, *, args, bandwidth: float, flatten_dim: int = 1)
         bandwidth=bandwidth,
         ranks=_split(args.ranks, int) if args.ranks else None,
         effects=args.effects,
-        vcov=_VCOV_ALIASES.get(args.vcov, args.vcov),
-        lags=_split(args.lags, int) if "," in str(args.lags) else int(str(args.lags)),
+        vcov=args.vcov,
+        lags=_split(args.lags, int),
         level=args.level,
         **fixed,
     )
@@ -188,12 +187,7 @@ def _load_panel(args):
 
 def _cmd_estimate(args) -> int:
     frame, y, xs = _load_panel(args)
-    token = args.method
-    if args.split == "on":
-        if token != "ic":
-            raise ValueError("--split only applies to the corrected estimator (--method ic)")
-        token = "ic-split"
-    spec = _method_to_spec(token, args=args, bandwidth=args.bandwidth, flatten_dim=args.flatten_dim)
+    spec = _method_to_spec(args.method, args=args, bandwidth=args.bandwidth, flatten_dim=args.flatten_dim)
     report = estimate_panel(y, xs, spec)
     print(f"method: {report.method}   variance: {report.variance_model}   cells: {report.n_cells}")
     print(f"{'coefficient':<14} {'estimate':>10} {'std.err':>10} {'ci_lower':>10} {'ci_upper':>10}")
@@ -270,10 +264,8 @@ def _add_estimator_args(sub) -> None:
         help="corrected estimator's effects estimate: residual truncation or the kernel fit's smoothed effects",
     )
     sub.add_argument("--split-dim", type=int, default=None, help="dimension to halve when cross-fitting")
-    sub.add_argument(
-        "--vcov", choices=VCOV_MODELS + tuple(_VCOV_ALIASES), default="hac", help="variance model for the intervals"
-    )
-    sub.add_argument("--lags", default="1", help="HAC lags: one integer or a comma list per dimension")
+    sub.add_argument("--vcov", choices=VCOV_MODELS, default="hac", help="variance model for the intervals")
+    sub.add_argument("--lags", default="1", help="HAC lags, comma-separated per dimension")
     sub.add_argument("--level", type=float, default=0.95, help="confidence level")
 
 
@@ -317,7 +309,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     est.add_argument("--method", choices=METHOD_CHOICES, default="ic")
     est.add_argument("--flatten-dim", type=int, default=1, help="flattening dimension (factor method)")
     est.add_argument("--bandwidth", type=float, default=0.1)
-    est.add_argument("--split", choices=("on", "off"), default="off", help="cross-fit the corrected estimator")
     est.add_argument("--out", default=None, help="write the report as JSON")
     _add_estimator_args(est)
     est.set_defaults(func=_cmd_estimate)

@@ -49,6 +49,7 @@ from .tensor_ops import (
     check_dim,
     cross_moments,
     net_of,
+    per_dim,
     regressor_list,
     solve_gram,
 )
@@ -359,26 +360,19 @@ def residual_proxies(residual, ranks, dims=None, *, source: str = "residual-svd"
         Outcome net of the preliminary regression part (the low-rank signal
         should dominate it).
     ranks : int or sequence of int
-        Proxy columns per dimension; a scalar applies to every dimension.
+        Proxy columns per listed dimension, or one count for all of them
+        (:func:`~tensorfe.tensor_ops.per_dim`).
     dims : sequence of int, optional
         1-indexed dimensions to extract for (default: all).
     """
     arr = as_tensor(residual, name="residual", min_order=2)
     order = arr.ndim
     dims = tuple(range(1, order + 1)) if dims is None else tuple(check_dim(d, order) for d in dims)
-    if np.isscalar(ranks):
-        rank_map = {d: int(ranks) for d in dims}
-    else:
-        ranks = tuple(int(r) for r in ranks)
-        if len(ranks) != len(dims):
-            raise RankError(f"{len(ranks)} ranks given for {len(dims)} dimensions")
-        rank_map = dict(zip(dims, ranks))
-
     columns: dict[int, np.ndarray] = {}
-    for d in dims:
+    for d, r in zip(dims, per_dim(ranks, len(dims), "proxy ranks")):
         mat = _flatten(arr, d)
         max_rank = min(mat.shape)
-        r = rank_map[d]
+        r = int(r)
         if not 1 <= r <= max_rank:
             raise RankError(f"proxy rank {r} out of range [1, {max_rank}] for dimension {d}")
         if mat.shape[0] < 2:

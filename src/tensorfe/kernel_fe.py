@@ -33,33 +33,23 @@ COLUMN_SPACE_RTOL = 1e-10
 class KernelSpec:
     """Kernel family plus bandwidth(s) for the proxy distances.
 
-    ``bandwidth`` may be a single positive float (shared by every dimension),
-    a tuple indexed by dimension, or a dict keyed by 1-indexed dimension.
+    ``bandwidth`` is a single positive float (shared by every dimension) or a
+    tuple indexed by dimension.
     """
 
     family: str = "gaussian"
-    bandwidth: float | tuple[float, ...] | dict[int, float] = 0.1
+    bandwidth: float | tuple[float, ...] = 0.1
 
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; choose from {KERNEL_FAMILIES}")
-        values = (
-            self.bandwidth.values()
-            if isinstance(self.bandwidth, dict)
-            else self.bandwidth
-            if isinstance(self.bandwidth, (tuple, list))
-            else (self.bandwidth,)
-        )
-        for h in values:
+        if isinstance(self.bandwidth, dict):
+            raise ValueError("bandwidth must be one float or a tuple with one per dimension, not a dict")
+        for h in self.bandwidth if isinstance(self.bandwidth, (tuple, list)) else (self.bandwidth,):
             if not (np.isfinite(h) and h > 0):
                 raise ValueError(f"bandwidths must be positive and finite, got {h!r}")
 
     def bandwidth_for(self, dim: int) -> float:
-        if isinstance(self.bandwidth, dict):
-            try:
-                return float(self.bandwidth[dim])
-            except KeyError:
-                raise RankError(f"no bandwidth specified for dimension {dim}") from None
         if isinstance(self.bandwidth, (tuple, list)):
             if dim > len(self.bandwidth):
                 raise RankError(f"no bandwidth specified for dimension {dim}")
@@ -73,8 +63,6 @@ def kernel_eval(family, u) -> np.ndarray:
     ``gaussian`` is ``exp(-u^2)``; ``indicator`` is ``1`` strictly inside the
     unit interval and ``0`` at or beyond it.
     """
-    if isinstance(family, KernelSpec):
-        family = family.family
     u = np.asarray(u, dtype=np.float64)
     if family == "gaussian":
         return np.exp(-(u**2))

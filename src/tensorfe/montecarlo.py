@@ -45,7 +45,7 @@ from .kernel_fe import (
     standard_within,
     within_projections,
 )
-from .tensor_ops import as_tensor, net_of, regressor_list
+from .tensor_ops import as_tensor, net_of, per_dim, regressor_list
 
 ESTIMATOR_KINDS = ("ols", "within", "factor", "ker", "ik", "ic")
 EFFECTS_MODES = ("hosvd", "kernel")
@@ -65,8 +65,11 @@ class EstimatorSpec:
     multilinear truncation of the preliminary residual (``"hosvd"``) or the
     preliminary kernel fit's own smoothed-effects estimate (``"kernel"``).
     ``proxy_ranks`` overrides the number of proxy columns per dimension
-    (default: ``n_factors`` everywhere).  ``name`` labels rows in summaries
-    and must be unique within a battery.
+    (default: ``n_factors`` everywhere, as for ``ranks``).  ``ranks``,
+    ``proxy_ranks``, ``bandwidth`` and ``lags`` each take one value for every
+    dimension or one per dimension (:func:`~tensorfe.tensor_ops.per_dim`); a
+    single lag is capped at ``N_d - 1`` in each dimension.  ``name`` labels
+    rows in summaries and must be unique within a battery.
     """
 
     name: str
@@ -74,11 +77,11 @@ class EstimatorSpec:
     flatten_dim: int = 1
     n_factors: int = 2
     prelim_dim: int = 1
-    proxy_ranks: tuple[int, ...] | None = None
+    proxy_ranks: int | tuple[int, ...] | None = None
     kernel: str = "gaussian"
     bandwidth: float | tuple[float, ...] = 0.1
     projection: str = "plain"
-    ranks: tuple[int, ...] | None = None
+    ranks: int | tuple[int, ...] | None = None
     effects: str = "hosvd"
     split: bool = False
     split_dim: int | None = None
@@ -93,22 +96,6 @@ class EstimatorSpec:
             raise ValueError(f"unknown effects mode {self.effects!r}; choose from {EFFECTS_MODES}")
         if self.vcov not in VCOV_MODELS:
             raise ValueError(f"unknown variance model {self.vcov!r}; choose from {VCOV_MODELS}")
-        if isinstance(self.bandwidth, list):
-            object.__setattr__(self, "bandwidth", tuple(self.bandwidth))
-        if isinstance(self.ranks, list):
-            object.__setattr__(self, "ranks", tuple(self.ranks))
-        if isinstance(self.proxy_ranks, list):
-            object.__setattr__(self, "proxy_ranks", tuple(self.proxy_ranks))
-        if isinstance(self.lags, list):
-            object.__setattr__(self, "lags", tuple(self.lags))
-
-    @property
-    def resolved_proxy_ranks(self) -> int | tuple[int, ...]:
-        if self.proxy_ranks is None:
-            return self.n_factors
-        if len(self.proxy_ranks) == 1:
-            return self.proxy_ranks[0]  # one value = same count in every dimension
-        return self.proxy_ranks
 
 
 @dataclass
@@ -178,13 +165,19 @@ class McSummary:
         return "\n".join(lines)
 
 
-def _resolve_lags(lags, dims: tuple[int, ...]) -> tuple[int, ...]:
-    if isinstance(lags, (int, np.integer)):
-        return tuple(min(int(lags), n - 1) for n in dims)
-    lags = tuple(int(l) for l in lags)
-    if len(lags) != len(dims):
-        raise RankError(f"{len(lags)} lags given for {len(dims)} dimensions")
-    return lags
+def _resolve(spec: EstimatorSpec, shape: tuple[int, ...]) -> EstimatorSpec:
+    """``spec`` with ranks, proxy ranks, bandwidths and lags given once per dimension of ``shape``."""
+    order = len(shape)
+    lags = per_dim(spec.lags, order, "lags")
+    if np.size(spec.lags) == 1:  # one lag for every dimension, capped at each one's size
+        lags = tuple(min(int(l), n - 1) for l, n in zip(lags, shape))
+    return replace(
+        spec,
+        ranks=per_dim(spec.n_factors if spec.ranks is None else spec.ranks, order, "ranks"),
+        proxy_ranks=per_dim(spec.n_factors if spec.proxy_ranks is None else spec.proxy_ranks, order, "proxy ranks"),
+        bandwidth=per_dim(spec.bandwidth, order, "bandwidths"),
+        lags=lags,
+    )
 
 
 def _compute_vcov(spec: EstimatorSpec, eta, resid) -> np.ndarray:
@@ -192,7 +185,7 @@ def _compute_vcov(spec: EstimatorSpec, eta, resid) -> np.ndarray:
         return var_homoskedastic(eta, resid)
     if spec.vcov == "heteroskedastic":
         return var_heteroskedastic(eta, resid)
-    return var_hac(eta, resid, _resolve_lags(spec.lags, resid.shape))
+    return var_hac(eta, resid, spec.lags)
 
 
 class _PanelWorkspace:
@@ -223,11 +216,11 @@ class _PanelWorkspace:
         return self._proxies[key]
 
     def kernel_fit(self, spec: EstimatorSpec) -> KernelFeFit:
-        bw = spec.bandwidth if isinstance(spec.bandwidth, tuple) else float(spec.bandwidth)
-        key = (spec.kernel, bw, spec.projection, spec.resolved_proxy_ranks, spec.n_factors, spec.prelim_dim)
+        """The kernel-within fit of a :func:`_resolve`-d spec."""
+        key = (spec.kernel, spec.bandwidth, spec.projection, spec.proxy_ranks, spec.n_factors, spec.prelim_dim)
         if key not in self._kernel_fits:
-            proxies = self.proxies(spec.resolved_proxy_ranks, spec.n_factors, spec.prelim_dim)
-            kspec = KernelSpec(family=spec.kernel, bandwidth=bw)
+            proxies = self.proxies(spec.proxy_ranks, spec.n_factors, spec.prelim_dim)
+            kspec = KernelSpec(family=spec.kernel, bandwidth=spec.bandwidth)
             weights = kernel_weights(proxies, kspec)
             projections = within_projections(weights, spec.projection)
             self._kernel_fits[key] = kernel_fe_estimate(
@@ -237,7 +230,7 @@ class _PanelWorkspace:
 
 
 def _point_estimate(spec: EstimatorSpec, ws: _PanelWorkspace):
-    """Run one estimator on the workspace's panel.
+    """Run one :func:`_resolve`-d estimator spec on the workspace's panel.
 
     Returns ``(beta, eta, resid, converged, diagnostics)`` where ``eta`` are
     the tensors whose cross-moments scale the sandwich variance and ``resid``
@@ -264,15 +257,12 @@ def _point_estimate(spec: EstimatorSpec, ws: _PanelWorkspace):
         diag = {"degenerate_rows": {d: len(v) for d, v in fit.degenerate_rows.items()}}
         eta, resid = fit.x_within, fit.residual
     elif spec.kind == "ik":
-        proxies = ws.proxies(spec.resolved_proxy_ranks, spec.n_factors, spec.prelim_dim)
+        proxies = ws.proxies(spec.proxy_ranks, spec.n_factors, spec.prelim_dim)
         kspec = KernelSpec(family=spec.kernel, bandwidth=spec.bandwidth)
         fit = iterative_kernel_fe(y, xs, proxies, kspec)
         diag = {"degenerate_rows": {f"{d}.{m}": len(v) for (d, m), v in fit.degenerate_rows.items()}}
         eta, resid = fit.x_within, fit.residual
     else:  # corrected estimator
-        ranks = spec.ranks if spec.ranks is not None else (spec.n_factors,) * y.ndim
-        if len(ranks) == 1 and y.ndim > 1:
-            ranks = ranks * y.ndim
         plain = replace(spec, projection="plain")
         if spec.split:
             split_dim = spec.split_dim if spec.split_dim is not None else y.ndim
@@ -284,17 +274,17 @@ def _point_estimate(spec: EstimatorSpec, ws: _PanelWorkspace):
                 fold_converged.append(fold.factor_fit(spec.prelim_dim, spec.n_factors).converged)
                 return beta
 
-            fit = corrected_estimate_split(y, xs, ranks, plan, prelim=prelim)
+            fit = corrected_estimate_split(y, xs, spec.ranks, plan, prelim=prelim)
             diag = {"split_dim": split_dim, "fold_sizes": [len(f) for f in plan.folds]}
         else:
             prelim_fit = ws.kernel_fit(plain)
             effects = None
             if spec.effects == "kernel":
                 effects = smoothed_effects(net_of(y, xs, prelim_fit.beta), prelim_fit.projections)
-            fit = corrected_estimate(y, xs, prelim_fit.beta, ranks, effects=effects)
+            fit = corrected_estimate(y, xs, prelim_fit.beta, spec.ranks, effects=effects)
             diag = {
                 "beta_tilde": [float(b) for b in fit.beta_tilde],
-                "ranks": list(ranks),
+                "ranks": list(spec.ranks),
                 "effects": spec.effects,
             }
         eta, resid = fit.eta, fit.residual
@@ -305,6 +295,7 @@ def _point_estimate(spec: EstimatorSpec, ws: _PanelWorkspace):
 
 def _report(spec: EstimatorSpec, ws: _PanelWorkspace) -> EstimateReport:
     """Point estimate, variance and report of one spec; ``diagnostics["converged"]`` is always set."""
+    spec = _resolve(spec, ws.outcome.shape)
     beta, eta, resid, converged, diag = _point_estimate(spec, ws)
     vcov = _compute_vcov(spec, eta, resid)
     diagnostics = dict(diag, converged=bool(converged))
@@ -364,7 +355,7 @@ def _run_round_args(args) -> list[RoundRecord]:
     return run_round(*args)
 
 
-def summarize(records, beta_true, specs=None, level: float | None = None) -> list[McRow]:
+def summarize(records, beta_true, specs=None) -> list[McRow]:
     """Aggregate round records per estimator.
 
     ``bias``, ``sd``, ``rmse``, ``coverage``, and ``mean_se`` use the first
@@ -410,7 +401,7 @@ def summarize(records, beta_true, specs=None, level: float | None = None) -> lis
                 rmse=float(np.hypot(bias, sd)) if ok else float("nan"),
                 coverage=float(cover.mean()) if ok else float("nan"),
                 mean_se=float(ses.mean()) if ok else float("nan"),
-                level=levels.get(name, level if level is not None else 0.95),
+                level=levels.get(name, 0.95),
                 mean_seconds=float(np.mean([r.seconds for r in recs])) if recs else 0.0,
                 bias_q025=float(q_lo),
                 bias_q975=float(q_hi),

@@ -75,6 +75,20 @@ def check_dim(dim: int, order: int) -> int:
     return int(dim)
 
 
+def per_dim(value, count: int, name: str) -> tuple:
+    """One value per dimension: a scalar or one-element sequence is repeated ``count`` times.
+
+    A sequence of length ``count`` is kept (as a tuple); any other length
+    raises :class:`~tensorfe.errors.RankError` naming the setting.
+    """
+    values = tuple(value) if np.iterable(value) else (value,)
+    if len(values) == 1:
+        return values * count
+    if len(values) != count:
+        raise RankError(f"{len(values)} {name} given for {count} dimensions")
+    return values
+
+
 def _cyclic_perm(dim: int, order: int) -> tuple[int, ...]:
     # 0-based axis order (n, n+1, ..., d-1, 0, ..., n-2) for 1-indexed dim n;
     # axis n-1 leads, the rest follow cyclically.

@@ -103,7 +103,7 @@ def test_estimate_corrected_with_options(panel_csv, tmp_path):
             "--proxy-rank", "2",
             "--effects", "kernel",
             "--bandwidth", "1.2",
-            "--vcov", "homo",
+            "--vcov", "homoskedastic",
             "--out", str(out),
         )
     )
@@ -114,16 +114,15 @@ def test_estimate_corrected_with_options(panel_csv, tmp_path):
     assert np.isfinite(payload["beta"][0])
 
 
-def test_estimate_split_toggle(panel_csv, tmp_path):
+def test_estimate_split_method(panel_csv, tmp_path):
     path, _ = panel_csv
     out = tmp_path / "report.json"
     code = main(
         estimate_args(
             path,
-            "--method", "ic",
+            "--method", "ic-split",
             "--ranks", "2,2,2",
             "--bandwidth", "1.2",
-            "--split", "on",
             "--out", str(out),
         )
     )
@@ -132,11 +131,25 @@ def test_estimate_split_toggle(panel_csv, tmp_path):
     assert payload["method"].startswith("ic-split")
 
 
-def test_split_requires_the_corrected_method(panel_csv, capsys):
+@pytest.mark.parametrize("spelling", [["--lags", "2,"], {"lags": [2]}, {"lags": 2}])
+def test_one_lag_spelling_is_every_dimensions_lag(panel_csv, tmp_path, spelling):
+    """One lag is one lag for every dimension, whether given as ``2``, ``2,`` or ``[2]``."""
     path, _ = panel_csv
-    code = main(estimate_args(path, "--method", "ols", "--split", "on"))
-    assert code == 1
-    assert "split" in capsys.readouterr().err
+
+    def report(extra, config=None):
+        out = tmp_path / "report.json"
+        argv = estimate_args(path, "--method", "ker", "--bandwidth", "1.2", "--out", str(out), *extra)
+        if config is not None:
+            cfg = tmp_path / "defaults.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", str(cfg), *argv]
+        assert main(argv) == 0
+        return json.loads(out.read_text())
+
+    expected = report(["--lags", "2"])
+    assert expected["se"] != report(["--lags", "1"])["se"]
+    got = report(spelling) if isinstance(spelling, list) else report([], config=spelling)
+    assert got == expected
 
 
 def test_keropt_with_full_rank_weights_names_the_projection(tmp_path, capsys):

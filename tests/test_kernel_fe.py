@@ -55,9 +55,11 @@ def test_kernel_spec_validation():
 
 
 def test_kernel_spec_per_dim_bandwidths():
-    spec = KernelSpec(bandwidth={1: 0.5, 2: 2.0})
+    spec = KernelSpec(bandwidth=(0.5, 2.0))
     assert spec.bandwidth_for(1) == 0.5
     assert spec.bandwidth_for(2) == 2.0
+    with pytest.raises(ValueError, match="dict"):
+        KernelSpec(bandwidth={1: 0.5, 2: 2.0})
 
 
 # -- weight matrices ----------------------------------------------------------

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from tensorfe import montecarlo
 from tensorfe.dgp import DgpConfig, draw
-from tensorfe.errors import EstimationError
+from tensorfe.errors import EstimationError, RankError
 from tensorfe.factor import fit_factor_model, residual_proxies
 from tensorfe.inference import pooled_ols
 from tensorfe.kernel_fe import KernelSpec, kernel_fe_estimate, kernel_weights, within_projections
@@ -284,13 +284,58 @@ def test_split_estimate_reports_fold_convergence(monkeypatch):
     assert report.diagnostics["converged"] is False
 
 
-def test_single_entry_proxy_ranks_broadcast():
+# Per-dimension settings, a value every spelling repeats, and the kinds that read each one.
+PER_DIM_SETTINGS = {
+    "ranks": (3, ("ic",)),
+    "proxy_ranks": (2, ("ker", "ik", "ic")),
+    "bandwidth": (1.2, ("ker", "ik", "ic")),
+    "lags": (2, ("ols", "within", "factor", "ker", "ik", "ic")),
+}
+PER_DIM_CASES = [(setting, kind) for setting, (_, kinds) in PER_DIM_SETTINGS.items() for kind in kinds]
+
+
+@pytest.mark.parametrize("setting, kind", PER_DIM_CASES)
+def test_per_dim_spellings_give_identical_reports(setting, kind):
+    """A scalar, a one-element tuple, a full tuple and a list of one setting are the same spec."""
     panel = draw(DgpConfig(dims=(9, 9, 9)), np.random.SeedSequence([6]))
-    scalar = EstimatorSpec("ik", "ik", proxy_ranks=None, n_factors=2)
-    tupled = EstimatorSpec("ik", "ik", proxy_ranks=(2,), n_factors=2)
-    a = estimate_panel(panel.outcome, panel.regressors, scalar)
-    b = estimate_panel(panel.outcome, panel.regressors, tupled)
+    value = PER_DIM_SETTINGS[setting][0]
+    reports = [
+        estimate_panel(panel.outcome, panel.regressors, EstimatorSpec(kind, kind, **{setting: spelling})).to_dict()
+        for spelling in (value, (value,), (value,) * 3, [value] * 3, [value])
+    ]
+    for report in reports[1:]:
+        assert report == reports[0]
+    with pytest.raises(RankError, match=setting.replace("_", " ")):
+        estimate_panel(panel.outcome, panel.regressors, EstimatorSpec(kind, kind, **{setting: (value, value)}))
+
+
+def test_default_proxy_ranks_are_the_factor_count():
+    panel = draw(DgpConfig(dims=(9, 9, 9)), np.random.SeedSequence([6]))
+    a = estimate_panel(panel.outcome, panel.regressors, EstimatorSpec("ik", "ik", proxy_ranks=None, n_factors=2))
+    b = estimate_panel(panel.outcome, panel.regressors, EstimatorSpec("ik", "ik", proxy_ranks=(2,), n_factors=2))
     assert_array_equal(a.beta, b.beta)
+
+
+def test_spellings_of_one_kernel_setting_share_one_fit(monkeypatch):
+    """``ker`` and ``ic``'s preliminary fit read the same kernel setting, however it is spelled."""
+    calls = {"kernel_fe_estimate": 0, "residual_proxies": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(montecarlo, name, counting(name, getattr(montecarlo, name)))
+    specs = [
+        EstimatorSpec("ker", "ker", bandwidth=1.0),
+        EstimatorSpec("ic", "ic", bandwidth=(1.0,) * 4, proxy_ranks=(2,) * 4),
+    ]
+    records = run_round(DgpConfig(design="fixed", dims=(6, 6, 6, 6)), 7, 0, specs)
+    assert not any(r.failed for r in records)
+    assert calls == {"kernel_fe_estimate": 1, "residual_proxies": 1}
 
 
 def test_spec_validation():
