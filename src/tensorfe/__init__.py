@@ -32,7 +32,6 @@ from .errors import (
 )
 from .factor import (
     FactorFit,
-    ProxySet,
     defactored_regressors,
     fit_factor_model,
     residual_proxies,
@@ -55,8 +54,6 @@ from .inference import (
 )
 from .kernel_fe import (
     KernelFeFit,
-    KernelSpec,
-    ProjectionSet,
     WeightSet,
     iterative_kernel_fe,
     kernel_eval,
@@ -105,7 +102,6 @@ __all__ = [
     "RankError",
     "TensorShapeError",
     "FactorFit",
-    "ProxySet",
     "defactored_regressors",
     "fit_factor_model",
     "residual_proxies",
@@ -124,8 +120,6 @@ __all__ = [
     "var_heteroskedastic",
     "var_homoskedastic",
     "KernelFeFit",
-    "KernelSpec",
-    "ProjectionSet",
     "WeightSet",
     "iterative_kernel_fe",
     "kernel_eval",

@@ -327,32 +327,13 @@ def defactored_regressors(fit: FactorFit, x) -> list[np.ndarray]:
     return out
 
 
-@dataclass
-class ProxySet:
-    """Per-dimension proxy columns for the latent loadings.
-
-    ``columns[n]`` holds the ``N_n x r_n`` proxy matrix for dimension ``n``
-    (1-indexed): leading left singular vectors of the mode-``n`` flattening of
-    a preliminary residual, scaled by their singular values and then column-
-    standardized to unit sample variance.  ``source`` records where the
-    residual came from.
-    """
-
-    columns: dict[int, np.ndarray]
-    source: str = "residual-svd"
-
-    def for_dim(self, dim: int) -> np.ndarray:
-        if dim not in self.columns:
-            raise RankError(f"no proxies extracted for dimension {dim}")
-        return self.columns[dim]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(sorted(self.columns))
-
-
-def residual_proxies(residual, ranks, dims=None, *, source: str = "residual-svd") -> ProxySet:
+def residual_proxies(residual, ranks) -> dict[int, np.ndarray]:
     """Extract standardized loading proxies from a preliminary residual.
+
+    Returns the ``N_n x r_n`` proxy matrix of every dimension ``n``, keyed by
+    ``n`` (1-indexed): the leading left singular vectors of the mode-``n``
+    flattening of the residual, scaled by their singular values and then
+    column-standardized to unit sample variance.
 
     Parameters
     ----------
@@ -360,16 +341,12 @@ def residual_proxies(residual, ranks, dims=None, *, source: str = "residual-svd"
         Outcome net of the preliminary regression part (the low-rank signal
         should dominate it).
     ranks : int or sequence of int
-        Proxy columns per listed dimension, or one count for all of them
+        Proxy columns per dimension, or one count for all of them
         (:func:`~tensorfe.tensor_ops.per_dim`).
-    dims : sequence of int, optional
-        1-indexed dimensions to extract for (default: all).
     """
     arr = as_tensor(residual, name="residual", min_order=2)
-    order = arr.ndim
-    dims = tuple(range(1, order + 1)) if dims is None else tuple(check_dim(d, order) for d in dims)
     columns: dict[int, np.ndarray] = {}
-    for d, r in zip(dims, per_dim(ranks, len(dims), "proxy ranks")):
+    for d, r in enumerate(per_dim(ranks, arr.ndim, "proxy ranks"), start=1):
         mat = _flatten(arr, d)
         max_rank = min(mat.shape)
         r = int(r)
@@ -386,5 +363,5 @@ def residual_proxies(residual, ranks, dims=None, *, source: str = "residual-svd"
                 "(is the preliminary residual exactly low-rank or zero?)"
             )
         columns[d] = cols / sd
-    return ProxySet(columns=columns, source=source)
+    return columns
 

@@ -6,6 +6,11 @@ within transform subtracts those local averages mode by mode.  The slope
 coefficient then comes from pooled OLS on the transformed data, which
 differences out low-rank interactive effects without estimating them.
 
+Proxies, weight matrices and within matrices are plain dicts keyed by the
+1-indexed dimension.  A kernel is a family name plus a bandwidth: one value
+for every proxy dimension, or one per proxy dimension in ascending order
+(:func:`~tensorfe.tensor_ops.per_dim`).
+
 Weight rows are normalized including the own-unit term, so rows always sum to
 one.  A unit with (numerically) no neighbours gets weight one on itself and a
 zero row in the plain projection — it simply drops out of the transformed
@@ -20,41 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateWeightsError, EstimationError, RankError, TensorShapeError
-from .factor import ProxySet
 from .tensor_ops import _mode_matrix, _mode_product, _truncated_svd, as_tensor, check_dim, cross_moments, net_of
-from .tensor_ops import regressor_list, solve_gram
+from .tensor_ops import per_dim, regressor_list, solve_gram
 
 KERNEL_FAMILIES = ("gaussian", "indicator")
 PROJECTION_VARIANTS = ("plain", "optimal")
 COLUMN_SPACE_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel family plus bandwidth(s) for the proxy distances.
-
-    ``bandwidth`` is a single positive float (shared by every dimension) or a
-    tuple indexed by dimension.
-    """
-
-    family: str = "gaussian"
-    bandwidth: float | tuple[float, ...] = 0.1
-
-    def __post_init__(self):
-        if self.family not in KERNEL_FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}; choose from {KERNEL_FAMILIES}")
-        if isinstance(self.bandwidth, dict):
-            raise ValueError("bandwidth must be one float or a tuple with one per dimension, not a dict")
-        for h in self.bandwidth if isinstance(self.bandwidth, (tuple, list)) else (self.bandwidth,):
-            if not (np.isfinite(h) and h > 0):
-                raise ValueError(f"bandwidths must be positive and finite, got {h!r}")
-
-    def bandwidth_for(self, dim: int) -> float:
-        if isinstance(self.bandwidth, (tuple, list)):
-            if dim > len(self.bandwidth):
-                raise RankError(f"no bandwidth specified for dimension {dim}")
-            return float(self.bandwidth[dim - 1])
-        return float(self.bandwidth)
 
 
 def kernel_eval(family, u) -> np.ndarray:
@@ -83,8 +59,6 @@ def _pairwise_distances(u: np.ndarray) -> np.ndarray:
     than an ``N x N x r`` difference array.  The squared norms are the Gram
     diagonal, so the diagonal distance is exactly zero.
     """
-    if u.ndim == 1:
-        u = u[:, None]
     if u.shape[1] == 1:
         col = u[:, 0]
         return np.abs(col[:, None] - col[None, :])
@@ -107,33 +81,17 @@ def _normalize_rows(kmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class WeightSet:
-    """Row-stochastic kernel weight matrices, one per dimension."""
+    """Row-stochastic kernel weight matrices and their isolated rows, both keyed by dimension."""
 
     weights: dict[int, np.ndarray]
     degenerate_rows: dict[int, np.ndarray]
-    spec: KernelSpec
-
-    def for_dim(self, dim: int) -> np.ndarray:
-        if dim not in self.weights:
-            raise RankError(f"no weights built for dimension {dim}")
-        return self.weights[dim]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(sorted(self.weights))
 
 
-def _proxy_matrices(proxies, dims) -> dict[int, np.ndarray]:
-    """Proxy matrices ``(N_d, r)`` by dimension in ascending order, restricted to ``dims`` when given."""
-    columns = proxies.columns if isinstance(proxies, ProxySet) else dict(proxies)
-    if dims is not None:
-        missing = [d for d in dims if d not in columns]
-        if missing:
-            raise RankError(f"no proxies available for dimension(s) {missing}")
-        columns = {d: columns[d] for d in dims}
+def _proxy_matrices(proxies) -> dict[int, np.ndarray]:
+    """Proxy matrices ``(N_d, r)`` by dimension in ascending order."""
     out: dict[int, np.ndarray] = {}
-    for d in sorted(columns):
-        u = as_tensor(columns[d], name=f"proxies for dimension {d}")
+    for d in sorted(proxies):
+        u = as_tensor(proxies[d], name=f"proxies for dimension {d}")
         if u.ndim == 1:
             u = u[:, None]
         if u.ndim != 2:
@@ -142,23 +100,29 @@ def _proxy_matrices(proxies, dims) -> dict[int, np.ndarray]:
     return out
 
 
-def kernel_weights(proxies, spec: KernelSpec, dims=None) -> WeightSet:
+def kernel_weights(proxies, family: str, bandwidth) -> WeightSet:
     """Build per-dimension weight matrices from proxy distances.
 
-    ``W[i, j]`` is the kernel evaluated at the scaled proxy distance between
-    units ``i`` and ``j``, normalized so each row (self term included) sums to
+    ``proxies`` maps each 1-indexed dimension to its ``N_d x r`` proxy matrix
+    (or ``N_d`` vector).  ``bandwidth`` is one positive finite float, or one
+    per proxy dimension in ascending order.  ``W[i, j]`` is the kernel
+    ``family`` evaluated at the proxy distance between units ``i`` and ``j``
+    over the bandwidth, normalized so each row (self term included) sums to
     one.  Raises when every unit of some dimension is isolated — the within
     transform would annihilate that entire dimension.
     """
-    columns = _proxy_matrices(proxies, dims)
+    columns = _proxy_matrices(proxies)
     if not columns:
         raise RankError("no proxy columns supplied")
+    bandwidths = [float(h) for h in per_dim(bandwidth, len(columns), "bandwidths")]
+    for h in bandwidths:
+        if not (np.isfinite(h) and h > 0):
+            raise ValueError(f"bandwidths must be positive and finite, got {h!r}")
 
     weights: dict[int, np.ndarray] = {}
     degenerate: dict[int, np.ndarray] = {}
-    for d, u in columns.items():
-        h = spec.bandwidth_for(d)
-        kmat = kernel_eval(spec.family, _pairwise_distances(u) / h)
+    for (d, u), h in zip(columns.items(), bandwidths):
+        kmat = kernel_eval(family, _pairwise_distances(u) / h)
         w, iso = _normalize_rows(kmat)
         if iso.size == u.shape[0]:
             raise DegenerateWeightsError(
@@ -167,28 +131,11 @@ def kernel_weights(proxies, spec: KernelSpec, dims=None) -> WeightSet:
             )
         weights[d] = w
         degenerate[d] = iso
-    return WeightSet(weights=weights, degenerate_rows=degenerate, spec=spec)
+    return WeightSet(weights=weights, degenerate_rows=degenerate)
 
 
-@dataclass
-class ProjectionSet:
-    """Per-dimension within-transform matrices and which variant built them."""
-
-    mats: dict[int, np.ndarray]
-    variant: str = "plain"
-
-    def for_dim(self, dim: int) -> np.ndarray:
-        if dim not in self.mats:
-            raise RankError(f"no projection built for dimension {dim}")
-        return self.mats[dim]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(sorted(self.mats))
-
-
-def within_projections(weight_set: WeightSet, variant: str = "plain") -> ProjectionSet:
-    """Turn weight matrices into within-transform matrices.
+def within_projections(weight_set: WeightSet, variant: str = "plain") -> dict[int, np.ndarray]:
+    """Turn weight matrices into within-transform matrices, keyed by dimension.
 
     ``plain`` subtracts the weighted neighbourhood average: ``I - W``.
     ``optimal`` removes the whole column space of ``W``: it projects onto the
@@ -211,23 +158,24 @@ def within_projections(weight_set: WeightSet, variant: str = "plain") -> Project
             svd = _truncated_svd(w, n)
             perp = svd.u[:, np.sum(svd.s > COLUMN_SPACE_RTOL * svd.s[0]) :]
             mats[d] = perp @ perp.T
-    return ProjectionSet(mats=mats, variant=variant)
+    return mats
 
 
-def weighted_within(t, projections: ProjectionSet) -> np.ndarray:
-    """Apply the per-dimension within matrices as successive mode products."""
+def weighted_within(t, projections: dict[int, np.ndarray]) -> np.ndarray:
+    """Apply the per-dimension within matrices as successive mode products, in ascending dimension."""
     return _within(as_tensor(t), projections)
 
 
-def _within(arr: np.ndarray, projections: ProjectionSet) -> np.ndarray:
+def _within(arr: np.ndarray, projections: dict[int, np.ndarray]) -> np.ndarray:
     # ``weighted_within`` on a checked tensor: only the small within matrices are checked.
-    for d in projections.dims:
+    for d in sorted(projections):
+        mat = projections[d]
         d = check_dim(d, arr.ndim)
-        arr = _mode_product(arr, _mode_matrix(projections.mats[d], arr.shape[d - 1], d), d)
+        arr = _mode_product(arr, _mode_matrix(mat, arr.shape[d - 1], d), d)
     return arr
 
 
-def smoothed_effects(resid, projections: ProjectionSet) -> np.ndarray:
+def smoothed_effects(resid, projections: dict[int, np.ndarray]) -> np.ndarray:
     """Implied fixed-effect estimate: the part the within transform removes.
 
     Applied to a preliminary residual (outcome net of the regression part)
@@ -241,17 +189,16 @@ def smoothed_effects(resid, projections: ProjectionSet) -> np.ndarray:
     return arr - _within(arr, projections)
 
 
-def standard_within(t, dims=None) -> np.ndarray:
-    """Classical within transform: demean along every (requested) dimension.
+def standard_within(t) -> np.ndarray:
+    """Classical within transform: demean along every dimension.
 
     The centering operators commute, so composing them is the usual
     inclusion–exclusion multi-way fixed-effects sweep (for three dimensions,
     the familiar eight-term formula).
     """
     out = as_tensor(t, min_order=2)
-    dims = range(1, out.ndim + 1) if dims is None else [check_dim(d, out.ndim) for d in dims]
-    for d in dims:
-        out = out - out.mean(axis=d - 1, keepdims=True)
+    for axis in range(out.ndim):
+        out = out - out.mean(axis=axis, keepdims=True)
     return out
 
 
@@ -267,7 +214,7 @@ class KernelFeFit:
     beta: np.ndarray
     y_within: np.ndarray
     x_within: list[np.ndarray]
-    projections: ProjectionSet
+    projections: dict[int, np.ndarray]
     degenerate_rows: dict = field(default_factory=dict)
 
     @property
@@ -275,12 +222,15 @@ class KernelFeFit:
         return net_of(self.y_within, self.x_within, self.beta)
 
 
-def _within_fit(y, x, projections: ProjectionSet, degenerate_rows: dict) -> KernelFeFit:
+def _within_fit(y, x, projections: dict[int, np.ndarray], degenerate_rows: dict) -> KernelFeFit:
     # The shared tail of both kernel estimators: transform, then pooled OLS.
+    # A zero within matrix would leave no data to fit.  ``I - W`` is zero only
+    # when every row is isolated, which ``kernel_weights`` already rejects, so
+    # in practice this is the full-rank optimal projection.
     y_arr = as_tensor(y, name="outcome", min_order=2)
     xs = regressor_list(x, y_arr.shape)
-    for d in projections.dims:
-        if projections.variant == "optimal" and not np.any(projections.mats[d]):
+    for d in sorted(projections):
+        if not np.any(projections[d]):
             raise EstimationError(f"the optimal projection removes all data: dimension {d}'s kernel weights have full rank")
     y_t = _within(y_arr, projections)
     x_t = [_within(xk, projections) for xk in xs]
@@ -288,7 +238,7 @@ def _within_fit(y, x, projections: ProjectionSet, degenerate_rows: dict) -> Kern
     return KernelFeFit(beta=beta, y_within=y_t, x_within=x_t, projections=projections, degenerate_rows=degenerate_rows)
 
 
-def kernel_fe_estimate(y, x, projections: ProjectionSet, *, weight_set: WeightSet | None = None) -> KernelFeFit:
+def kernel_fe_estimate(y, x, projections: dict[int, np.ndarray], *, weight_set: WeightSet | None = None) -> KernelFeFit:
     """Slope estimate from pooled OLS after the kernel within transform.
 
     ``projections`` typically comes from :func:`within_projections`; passing
@@ -298,7 +248,7 @@ def kernel_fe_estimate(y, x, projections: ProjectionSet, *, weight_set: WeightSe
     return _within_fit(y, x, projections, dict(weight_set.degenerate_rows) if weight_set is not None else {})
 
 
-def iterative_kernel_fe(y, x, proxies, spec: KernelSpec, dims=None) -> KernelFeFit:
+def iterative_kernel_fe(y, x, proxies, family: str, bandwidth) -> KernelFeFit:
     """Kernel-weighted estimate sweeping one proxy column at a time.
 
     Instead of one weight matrix per dimension built from vector proxy
@@ -307,15 +257,18 @@ def iterative_kernel_fe(y, x, proxies, spec: KernelSpec, dims=None) -> KernelFeF
     column, and contributes one ``I - W`` factor; a
     dimension's transform is the product of its column factors.  With a single
     proxy column per dimension this reproduces :func:`kernel_fe_estimate`
-    exactly.  ``degenerate_rows`` is keyed by ``(dim, column)``.
+    exactly.  ``proxies`` and ``bandwidth`` follow :func:`kernel_weights`;
+    every column of a dimension uses that dimension's bandwidth.
+    ``degenerate_rows`` is keyed by ``(dim, column)``.
     """
+    columns = _proxy_matrices(proxies)
     degenerate: dict[tuple[int, int], np.ndarray] = {}
     composed: dict[int, np.ndarray] = {}
-    for d, u in _proxy_matrices(proxies, dims).items():
+    for (d, u), h in zip(columns.items(), per_dim(bandwidth, len(columns), "bandwidths")):
         transform = np.eye(u.shape[0])
         for m in range(u.shape[1]):
-            column = kernel_weights({d: u[:, m]}, spec)
+            column = kernel_weights({d: u[:, m]}, family, h)
             degenerate[(d, m + 1)] = column.degenerate_rows[d]
             transform = (np.eye(u.shape[0]) - column.weights[d]) @ transform
         composed[d] = transform
-    return _within_fit(y, x, ProjectionSet(mats=composed, variant="plain"), degenerate)
+    return _within_fit(y, x, composed, degenerate)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dgp import DgpConfig, draw
 from .errors import EstimationError, RankError, TensorShapeError
-from .factor import FactorFit, ProxySet, defactored_regressors, fit_factor_model, residual_proxies
+from .factor import FactorFit, defactored_regressors, fit_factor_model, residual_proxies
 from .inference import (
     EstimateReport,
     build_report,
@@ -36,8 +36,9 @@ from .inference import (
     var_homoskedastic,
 )
 from .kernel_fe import (
+    KERNEL_FAMILIES,
+    PROJECTION_VARIANTS,
     KernelFeFit,
-    KernelSpec,
     kernel_fe_estimate,
     kernel_weights,
     iterative_kernel_fe,
@@ -64,6 +65,11 @@ class EstimatorSpec:
     estimator removes the interactive component from the outcome: a
     multilinear truncation of the preliminary residual (``"hosvd"``) or the
     preliminary kernel fit's own smoothed-effects estimate (``"kernel"``).
+    The cross-fitted corrected estimator (``split=True``) truncates the
+    residual, so it takes ``"hosvd"`` only.  ``kernel`` names one of
+    ``KERNEL_FAMILIES`` and ``projection`` one of ``PROJECTION_VARIANTS``.
+    Every choice is checked when the spec is built, so a battery never
+    starts with one that would fail in every round.
     ``proxy_ranks`` overrides the number of proxy columns per dimension
     (default: ``n_factors`` everywhere, as for ``ranks``).  ``ranks``,
     ``proxy_ranks``, ``bandwidth`` and ``lags`` each take one value for every
@@ -96,6 +102,12 @@ class EstimatorSpec:
             raise ValueError(f"unknown effects mode {self.effects!r}; choose from {EFFECTS_MODES}")
         if self.vcov not in VCOV_MODELS:
             raise ValueError(f"unknown variance model {self.vcov!r}; choose from {VCOV_MODELS}")
+        if self.kernel not in KERNEL_FAMILIES:
+            raise ValueError(f"unknown kernel family {self.kernel!r}; choose from {KERNEL_FAMILIES}")
+        if self.projection not in PROJECTION_VARIANTS:
+            raise ValueError(f"unknown projection variant {self.projection!r}; choose from {PROJECTION_VARIANTS}")
+        if self.kind == "ic" and self.split and self.effects == "kernel":
+            raise ValueError("the cross-fitted corrected estimator (split=True) takes effects='hosvd' only")
 
 
 @dataclass
@@ -196,7 +208,7 @@ class _PanelWorkspace:
         self.regressors = regressors
         self.round_index = round_index
         self._factor_fits: dict[tuple[int, int], FactorFit] = {}
-        self._proxies: dict[tuple[int, int], ProxySet] = {}
+        self._proxies: dict[tuple, dict[int, np.ndarray]] = {}
         self._kernel_fits: dict[tuple, KernelFeFit] = {}
 
     def factor_fit(self, flatten_dim: int, n_factors: int) -> FactorFit:
@@ -207,7 +219,7 @@ class _PanelWorkspace:
             )
         return self._factor_fits[key]
 
-    def proxies(self, proxy_ranks, n_factors: int, prelim_dim: int) -> ProxySet:
+    def proxies(self, proxy_ranks, n_factors: int, prelim_dim: int) -> dict[int, np.ndarray]:
         key = (proxy_ranks, n_factors, prelim_dim)
         if key not in self._proxies:
             prelim = self.factor_fit(prelim_dim, n_factors)
@@ -220,8 +232,7 @@ class _PanelWorkspace:
         key = (spec.kernel, spec.bandwidth, spec.projection, spec.proxy_ranks, spec.n_factors, spec.prelim_dim)
         if key not in self._kernel_fits:
             proxies = self.proxies(spec.proxy_ranks, spec.n_factors, spec.prelim_dim)
-            kspec = KernelSpec(family=spec.kernel, bandwidth=spec.bandwidth)
-            weights = kernel_weights(proxies, kspec)
+            weights = kernel_weights(proxies, spec.kernel, spec.bandwidth)
             projections = within_projections(weights, spec.projection)
             self._kernel_fits[key] = kernel_fe_estimate(
                 self.outcome, self.regressors, projections, weight_set=weights
@@ -258,8 +269,7 @@ def _point_estimate(spec: EstimatorSpec, ws: _PanelWorkspace):
         eta, resid = fit.x_within, fit.residual
     elif spec.kind == "ik":
         proxies = ws.proxies(spec.proxy_ranks, spec.n_factors, spec.prelim_dim)
-        kspec = KernelSpec(family=spec.kernel, bandwidth=spec.bandwidth)
-        fit = iterative_kernel_fe(y, xs, proxies, kspec)
+        fit = iterative_kernel_fe(y, xs, proxies, spec.kernel, spec.bandwidth)
         diag = {"degenerate_rows": {f"{d}.{m}": len(v) for (d, m), v in fit.degenerate_rows.items()}}
         eta, resid = fit.x_within, fit.residual
     else:  # corrected estimator

@@ -78,9 +78,11 @@ def check_dim(dim: int, order: int) -> int:
 def per_dim(value, count: int, name: str) -> tuple:
     """One value per dimension: a scalar or one-element sequence is repeated ``count`` times.
 
-    A sequence of length ``count`` is kept (as a tuple); any other length
-    raises :class:`~tensorfe.errors.RankError` naming the setting.
+    A sequence of length ``count`` is kept (as a tuple); any other length,
+    or a dict, raises :class:`~tensorfe.errors.RankError` naming the setting.
     """
+    if isinstance(value, dict):  # iterating it would yield its keys
+        raise RankError(f"{name} must be one value or a sequence with one per dimension, not a dict")
     values = tuple(value) if np.iterable(value) else (value,)
     if len(values) == 1:
         return values * count

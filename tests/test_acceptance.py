@@ -14,10 +14,9 @@ import pytest
 
 from tensorfe.cli import build_parser
 from tensorfe.dgp import DgpConfig, draw
-from tensorfe.factor import ProxySet, fit_factor_model
+from tensorfe.factor import fit_factor_model
 from tensorfe.inference import Orthogonalization, corrected_estimate, var_hac
 from tensorfe.kernel_fe import (
-    KernelSpec,
     kernel_fe_estimate,
     kernel_weights,
     standard_within,
@@ -183,11 +182,8 @@ def test_criterion_2_exact_recovery():
     g_effects = cells[np.ix_(groups[0], groups[1], groups[2])]
     gx = g_effects + rng.standard_normal((15, 14, 13))
     gy = gx + g_effects
-    proxies = ProxySet(
-        columns={d: g.reshape(-1, 1).astype(float) for d, g in enumerate(groups, start=1)},
-        source="labels",
-    )
-    projections = within_projections(kernel_weights(proxies, KernelSpec("indicator", 0.5)))
+    proxies = {d: g.reshape(-1, 1).astype(float) for d, g in enumerate(groups, start=1)}
+    projections = within_projections(kernel_weights(proxies, "indicator", 0.5))
     kfit = kernel_fe_estimate(gy, [gx], projections)
     checks.append(("group-kernel fit exact under exact grouping", abs(kfit.beta[0] - 1.0) < 1e-8))
 
@@ -270,11 +266,11 @@ def test_criterion_6_property_suite():
     ok_rows = ok_rot = ok_psd = True
     for _ in range(100):
         cols = rng.standard_normal((10, 2))
-        spec = KernelSpec(bandwidth=float(rng.uniform(0.3, 2.0)))
-        w = kernel_weights(ProxySet(columns={1: cols}, source="r"), spec).for_dim(1)
+        h = float(rng.uniform(0.3, 2.0))
+        w = kernel_weights({1: cols}, "gaussian", h).weights[1]
         ok_rows &= np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-        w_rot = kernel_weights(ProxySet(columns={1: cols @ q}, source="r"), spec).for_dim(1)
+        w_rot = kernel_weights({1: cols @ q}, "gaussian", h).weights[1]
         ok_rot &= np.allclose(w_rot, w, atol=1e-12)
         etas = [rng.standard_normal((6, 6, 6)) for _ in range(2)]
         resid = rng.standard_normal((6, 6, 6))
@@ -285,8 +281,8 @@ def test_criterion_6_property_suite():
     checks.append(("robust vcov positive semidefinite on every draw", ok_psd))
 
     t = rng.standard_normal((7, 6, 5))
-    uniform = ProxySet(columns={d: np.zeros((n, 1)) for d, n in enumerate(t.shape, 1)}, source="u")
-    projections = within_projections(kernel_weights(uniform, KernelSpec(bandwidth=1.0)))
+    uniform = {d: np.zeros((n, 1)) for d, n in enumerate(t.shape, 1)}
+    projections = within_projections(kernel_weights(uniform, "gaussian", 1.0))
     checks.append(
         ("uniform weights reduce to the standard within transform",
          np.allclose(weighted_within(t, projections), standard_within(t), atol=1e-12))
@@ -295,8 +291,8 @@ def test_criterion_6_property_suite():
     ok_proj = True
     for _ in range(20):
         cols = rng.standard_normal((8, 1))
-        w = kernel_weights(ProxySet(columns={1: cols}, source="r"), KernelSpec(bandwidth=0.8))
-        m = within_projections(w, "optimal").for_dim(1)
+        w = kernel_weights({1: cols}, "gaussian", 0.8)
+        m = within_projections(w, "optimal")[1]
         ok_proj &= np.allclose(m @ m, m, atol=1e-8) and np.allclose(m, m.T, atol=1e-8)
     checks.append(("column-space projectors idempotent and symmetric", ok_proj))
 

@@ -17,8 +17,6 @@ from numpy.testing import assert_allclose
 from tensorfe import (
     DgpConfig,
     EstimatorSpec,
-    KernelSpec,
-    ProjectionSet,
     corrected_estimate,
     corrected_estimate_split,
     cp_compose,
@@ -60,7 +58,7 @@ Y = _rng.standard_normal(SHAPE)
 X = _rng.standard_normal(SHAPE)
 MAT = _rng.standard_normal((5, 6))
 PROXIES = {d: _rng.standard_normal((n, 1)) for d, n in enumerate(SHAPE, start=1)}
-WITHIN = ProjectionSet({d: np.eye(n) - np.full((n, n), 1.0 / n) for d, n in enumerate(SHAPE, start=1)})
+WITHIN = {d: np.eye(n) - np.full((n, n), 1.0 / n) for d, n in enumerate(SHAPE, start=1)}
 FIT = fit_factor_model(Y, X, 1, 1)
 
 # (function applied to the poisoned array, the clean array it poisons)
@@ -91,17 +89,17 @@ CASES = {
     "var_hac eta": (lambda e: var_hac(e, Y, (1, 1, 1)), X),
     "var_heteroskedastic": (lambda r: var_heteroskedastic(X, r), Y),
     "var_homoskedastic": (lambda r: var_homoskedastic(X, r), Y),
-    "kernel_weights": (lambda u: kernel_weights({1: u}, KernelSpec(bandwidth=1.0)), PROXIES[1]),
+    "kernel_weights": (lambda u: kernel_weights({1: u}, "gaussian", 1.0), PROXIES[1]),
     "weighted_within tensor": (lambda t: weighted_within(t, WITHIN), Y),
-    "weighted_within matrix": (lambda m: weighted_within(Y, ProjectionSet({1: m})), WITHIN.mats[1]),
+    "weighted_within matrix": (lambda m: weighted_within(Y, {1: m}), WITHIN[1]),
     "smoothed_effects": (lambda r: smoothed_effects(r, WITHIN), Y),
     "standard_within": (standard_within, Y),
     "kernel_fe_estimate": (lambda y: kernel_fe_estimate(y, X, WITHIN), Y),
     "kernel_fe_estimate x": (lambda x: kernel_fe_estimate(Y, x, WITHIN), X),
-    "iterative_kernel_fe": (lambda x: iterative_kernel_fe(Y, x, PROXIES, KernelSpec(bandwidth=1.0)), X),
-    "iterative_kernel_fe y": (lambda y: iterative_kernel_fe(y, X, PROXIES, KernelSpec(bandwidth=1.0)), Y),
+    "iterative_kernel_fe": (lambda x: iterative_kernel_fe(Y, x, PROXIES, "gaussian", 1.0), X),
+    "iterative_kernel_fe y": (lambda y: iterative_kernel_fe(y, X, PROXIES, "gaussian", 1.0), Y),
     "iterative_kernel_fe proxies": (
-        lambda u: iterative_kernel_fe(Y, X, {**PROXIES, 2: u}, KernelSpec(bandwidth=1.0)),
+        lambda u: iterative_kernel_fe(Y, X, {**PROXIES, 2: u}, "gaussian", 1.0),
         np.column_stack([PROXIES[2], np.ones(SHAPE[1])]),
     ),
     "estimate_panel": (lambda y: estimate_panel(y, X, EstimatorSpec(name="ols", kind="ols")), Y),
@@ -130,9 +128,9 @@ def test_panel_writer_rejects_non_finite_entries(tmp_path):
 
 def test_within_matrices_are_still_checked_against_the_tensor():
     with pytest.raises(TensorShapeError, match="4 columns cannot act on dimension 2 of size 5"):
-        weighted_within(Y, ProjectionSet({2: np.eye(4)}))
+        weighted_within(Y, {2: np.eye(4)})
     with pytest.raises(TensorShapeError, match="4 columns cannot act on dimension 2 of size 5"):
-        kernel_fe_estimate(Y, X, ProjectionSet({2: np.eye(4)}))
+        kernel_fe_estimate(Y, X, {2: np.eye(4)})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -131,6 +131,13 @@ def test_estimate_split_method(panel_csv, tmp_path):
     assert payload["method"].startswith("ic-split")
 
 
+def test_split_method_rejects_kernel_effects(panel_csv, capsys):
+    path, _ = panel_csv
+    code = main(estimate_args(path, "--method", "ic-split", "--effects", "kernel", "--bandwidth", "1.2"))
+    assert code == 1
+    assert "effects='hosvd' only" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spelling", [["--lags", "2,"], {"lags": [2]}, {"lags": 2}])
 def test_one_lag_spelling_is_every_dimensions_lag(panel_csv, tmp_path, spelling):
     """One lag is one lag for every dimension, whether given as ``2``, ``2,`` or ``[2]``."""

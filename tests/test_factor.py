@@ -330,7 +330,7 @@ def test_proxies_span_rank_one_direction():
     resid = np.einsum("i,j,k->ijk", *vecs)
     proxies = residual_proxies(resid, 1)
     for dim, v in zip((1, 2, 3), vecs):
-        col = proxies.for_dim(dim)[:, 0]
+        col = proxies[dim][:, 0]
         unit = v / np.linalg.norm(v)
         overlap = abs(float(col @ unit)) / np.linalg.norm(col)
         assert overlap > 1 - 1e-10  # collinear up to sign
@@ -344,7 +344,7 @@ def test_proxies_close_to_truth_under_small_noise():
     noisy = effects + 0.01 * rng.standard_normal(shape)
     proxies = residual_proxies(noisy, 2)
     for dim, truth in zip((1, 2, 3), mats):
-        est = proxies.for_dim(dim)
+        est = proxies[dim]
         # Procrustes alignment: estimated columns span the loading space.
         coef, *_ = np.linalg.lstsq(est, truth, rcond=None)
         mse = np.mean((est @ coef - truth) ** 2)
@@ -360,7 +360,7 @@ def test_proxy_columns_are_standardized(rng):
     resid = rng.standard_normal((10, 11, 12))
     proxies = residual_proxies(resid, 2)
     for dim in (1, 2, 3):
-        assert_allclose(proxies.for_dim(dim).std(axis=0, ddof=1), 1.0, atol=1e-12)
+        assert_allclose(proxies[dim].std(axis=0, ddof=1), 1.0, atol=1e-12)
 
 
 def test_low_rank_effects_exact_at_matching_ranks():

@@ -24,7 +24,7 @@ from tensorfe.inference import (
     var_heteroskedastic,
     var_homoskedastic,
 )
-from tensorfe.kernel_fe import KernelSpec, kernel_fe_estimate, kernel_weights, within_projections
+from tensorfe.kernel_fe import kernel_fe_estimate, kernel_weights, within_projections
 from tensorfe.tensor_ops import cp_compose, flatten, hosvd_truncate, mode_product, truncated_svd
 
 Z_95 = 1.959963984540054
@@ -383,7 +383,7 @@ def ic_pipeline(y, xs, bandwidth=1.2, ranks=(4, 4, 4)):
     prelim = fit_factor_model(y, xs, 1, 2)
     resid = y - prelim.beta[0] * xs[0]
     proxies = residual_proxies(resid, 2)
-    projections = within_projections(kernel_weights(proxies, KernelSpec(bandwidth=bandwidth)))
+    projections = within_projections(kernel_weights(proxies, "gaussian", bandwidth))
     kfit = kernel_fe_estimate(y, xs, projections)
     return corrected_estimate(y, xs, kfit.beta, ranks)
 
@@ -489,7 +489,7 @@ def test_split_and_plain_estimates_agree_within_sampling_error():
         def prelim(y_sub, x_sub):
             pf = fit_factor_model(y_sub, x_sub, 1, 2)
             proxies = residual_proxies(y_sub - pf.beta[0] * x_sub[0], 2)
-            projections = within_projections(kernel_weights(proxies, KernelSpec(bandwidth=1.2)))
+            projections = within_projections(kernel_weights(proxies, "gaussian", 1.2))
             return kernel_fe_estimate(y_sub, x_sub, projections).beta
 
         split_fit = corrected_estimate_split(y, xs, (4, 4, 4), plan, prelim=prelim)

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from tensorfe.errors import DegenerateWeightsError, EstimationError
-from tensorfe.factor import ProxySet, residual_proxies
+from tensorfe.errors import DegenerateWeightsError, EstimationError, RankError
+from tensorfe.factor import residual_proxies
 from tensorfe.kernel_fe import (
-    KernelSpec,
     _pairwise_distances,
-    ProjectionSet,
     WeightSet,
     iterative_kernel_fe,
     kernel_eval,
@@ -25,7 +23,7 @@ from tensorfe.tensor_ops import cp_compose
 
 
 def proxy_set(columns):
-    return ProxySet(columns={int(d): np.asarray(c, dtype=float) for d, c in columns.items()}, source="manual")
+    return {int(d): np.asarray(c, dtype=float) for d, c in columns.items()}
 
 
 def scalar_proxies(*values):
@@ -45,34 +43,42 @@ def test_indicator_kernel_values():
     assert kernel_eval("indicator", np.array(1.5)) == 0.0
 
 
-def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        KernelSpec(bandwidth=-1.0)
-    with pytest.raises(ValueError):
-        KernelSpec(bandwidth=0.0)
-    with pytest.raises(ValueError):
-        KernelSpec(family="cauchy")
+def three_dim_proxies():
+    return proxy_set({1: [[0.0], [1.0]], 2: [[0.0], [1.0]], 3: [[0.0], [1.0]]})
 
 
-def test_kernel_spec_per_dim_bandwidths():
-    spec = KernelSpec(bandwidth=(0.5, 2.0))
-    assert spec.bandwidth_for(1) == 0.5
-    assert spec.bandwidth_for(2) == 2.0
+def test_kernel_weights_validation():
+    for bandwidth in (-1.0, 0.0, np.inf, (1.0, 1.0, -1.0)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            kernel_weights(three_dim_proxies(), "gaussian", bandwidth)
+    with pytest.raises(ValueError, match="unknown kernel family"):
+        kernel_weights(three_dim_proxies(), "cauchy", 1.0)
+
+
+def test_kernel_weights_per_dim_bandwidths():
+    """One bandwidth per proxy dimension in ascending order; any other count is an error."""
+    w = kernel_weights(three_dim_proxies(), "gaussian", (0.5, 1.0, 2.0))
+    for d, h in zip((1, 2, 3), (0.5, 1.0, 2.0)):
+        k = np.exp(-(1.0 / h) ** 2)
+        assert_allclose(w.weights[d][0, 1], k / (1.0 + k))
+    for bandwidth in ((0.5, 1.0), (0.5, 1.0, 2.0, 99.0), (0.5, 1.0, 2.0, 99.0, 1e9)):
+        with pytest.raises(RankError, match="bandwidths given for 3 dimensions"):
+            kernel_weights(three_dim_proxies(), "gaussian", bandwidth)
     with pytest.raises(ValueError, match="dict"):
-        KernelSpec(bandwidth={1: 0.5, 2: 2.0})
+        kernel_weights(three_dim_proxies(), "gaussian", {1: 0.5, 2: 1.0, 3: 2.0})
 
 
 # -- weight matrices ----------------------------------------------------------
 
 
 def test_identical_pair_gets_equal_weights():
-    w = kernel_weights(proxy_set({1: [[1.3], [1.3]]}), KernelSpec(bandwidth=1.0))
-    assert_allclose(w.for_dim(1), [[0.5, 0.5], [0.5, 0.5]])
+    w = kernel_weights(proxy_set({1: [[1.3], [1.3]]}), "gaussian", 1.0)
+    assert_allclose(w.weights[1], [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_far_away_unit_keeps_its_own_row():
-    w = kernel_weights(scalar_proxies(0.0, 0.5, 10.0), KernelSpec(bandwidth=1.0))
-    mat = w.for_dim(1)
+    w = kernel_weights(scalar_proxies(0.0, 0.5, 10.0), "gaussian", 1.0)
+    mat = w.weights[1]
     assert mat[2, 2] > 1 - 1e-10
     assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
 
@@ -93,14 +99,13 @@ def test_rows_sum_to_one(seed, bandwidth):
         dist_sq = np.sum((u[:, None, :] - u[None, :, :]) ** 2, axis=-1)
         off_diag = np.where(np.eye(n, dtype=bool), 0.0, np.exp(-dist_sq / bandwidth**2))
         all_isolated |= bool(np.all(off_diag.sum(axis=1) <= n * np.finfo(np.float64).eps))
-    spec = KernelSpec(bandwidth=bandwidth)
     if all_isolated:
         with pytest.raises(DegenerateWeightsError):
-            kernel_weights(proxy_set(columns), spec)
+            kernel_weights(proxy_set(columns), "gaussian", bandwidth)
         return
-    w = kernel_weights(proxy_set(columns), spec)
+    w = kernel_weights(proxy_set(columns), "gaussian", bandwidth)
     for dim in (1, 2):
-        assert_allclose(w.for_dim(dim).sum(axis=1), 1.0, atol=1e-12)
+        assert_allclose(w.weights[dim].sum(axis=1), 1.0, atol=1e-12)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.sampled_from([0.0, 1e3]))
@@ -128,9 +133,8 @@ def test_weights_invariant_to_orthogonal_proxy_rotation(seed):
     rng = np.random.default_rng(seed)
     cols = rng.standard_normal((9, 2))
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    spec = KernelSpec(bandwidth=0.7)
-    base = kernel_weights(proxy_set({1: cols}), spec).for_dim(1)
-    rotated = kernel_weights(proxy_set({1: cols @ q}), spec).for_dim(1)
+    base = kernel_weights(proxy_set({1: cols}), "gaussian", 0.7).weights[1]
+    rotated = kernel_weights(proxy_set({1: cols @ q}), "gaussian", 0.7).weights[1]
     assert_allclose(rotated, base, atol=1e-12)
 
 
@@ -138,11 +142,11 @@ def test_all_rows_isolated_raises():
     # Indicator kernel with a gap wider than the bandwidth everywhere: no
     # usable neighbours in the whole dimension.
     with pytest.raises(DegenerateWeightsError):
-        kernel_weights(scalar_proxies(0.0, 10.0), KernelSpec("indicator", 1.0))
+        kernel_weights(scalar_proxies(0.0, 10.0), "indicator", 1.0)
 
 
 def test_isolated_rows_are_recorded_but_tolerated():
-    w = kernel_weights(scalar_proxies(0.0, 0.2, 50.0), KernelSpec("indicator", 1.0))
+    w = kernel_weights(scalar_proxies(0.0, 0.2, 50.0), "indicator", 1.0)
     assert_array_equal(w.degenerate_rows[1], [2])
 
 
@@ -150,11 +154,10 @@ def test_degenerate_fraction_vanishes_as_samples_grow():
     """With n*h -> infinity the share of neighbourless units goes to zero."""
     fractions = []
     for n in (50, 200, 800):
-        spec = KernelSpec("indicator", n ** -0.25)
         rng = np.random.default_rng(2)
         frac = 0.0
         for _ in range(20):
-            w = kernel_weights(proxy_set({1: rng.standard_normal((n, 1))}), spec)
+            w = kernel_weights(proxy_set({1: rng.standard_normal((n, 1))}), "indicator", n ** -0.25)
             frac += len(w.degenerate_rows[1]) / n
         fractions.append(frac / 20)
     assert fractions[0] > fractions[1] > fractions[2]
@@ -166,7 +169,7 @@ def test_degenerate_fraction_vanishes_as_samples_grow():
 
 def uniform_projections(shape):
     cols = {d: np.zeros((n, 1)) for d, n in enumerate(shape, start=1)}
-    w = kernel_weights(ProxySet(columns=cols, source="manual"), KernelSpec(bandwidth=1.0))
+    w = kernel_weights(cols, "gaussian", 1.0)
     return w, within_projections(w)
 
 
@@ -202,7 +205,7 @@ def test_group_constant_tensor_is_annihilated(rng):
     cell_values = rng.standard_normal((2, 2, 2))
     effects = cell_values[np.ix_(groups[0], groups[1], groups[2])]
     proxies = proxy_set({d: g.reshape(-1, 1).astype(float) for d, g in enumerate(groups, start=1)})
-    w = kernel_weights(proxies, KernelSpec("indicator", 0.5))
+    w = kernel_weights(proxies, "indicator", 0.5)
     assert_allclose(weighted_within(effects, within_projections(w)), 0.0, atol=1e-10)
 
 
@@ -211,20 +214,20 @@ def test_group_effects_recovered_exactly_by_smoothing(rng):
     cell_values = rng.standard_normal((2, 2, 2))
     effects = cell_values[np.ix_(groups[0], groups[1], groups[2])]
     proxies = proxy_set({d: g.reshape(-1, 1).astype(float) for d, g in enumerate(groups, start=1)})
-    projections = within_projections(kernel_weights(proxies, KernelSpec("indicator", 0.5)))
+    projections = within_projections(kernel_weights(proxies, "indicator", 0.5))
     assert_allclose(smoothed_effects(effects, projections), effects, atol=1e-8)
 
 
 def test_identity_projections_leave_tensor_unchanged(rng):
     t = rng.standard_normal((4, 5, 6))
-    projections = ProjectionSet(mats={d: np.eye(n) for d, n in enumerate(t.shape, start=1)}, variant="plain")
+    projections = {d: np.eye(n) for d, n in enumerate(t.shape, start=1)}
     assert_array_equal(weighted_within(t, projections), t)
 
 
 def test_smoothing_complements_the_within_transform(rng):
     t = rng.standard_normal((6, 6, 6))
     proxies = residual_proxies(rng.standard_normal((6, 6, 6)), 1)
-    projections = within_projections(kernel_weights(proxies, KernelSpec(bandwidth=1.0)))
+    projections = within_projections(kernel_weights(proxies, "gaussian", 1.0))
     assert_allclose(weighted_within(t, projections) + smoothed_effects(t, projections), t, atol=1e-12)
 
 
@@ -235,28 +238,27 @@ def manual_weight_set(mat):
     return WeightSet(
         weights={1: np.asarray(mat, dtype=float)},
         degenerate_rows={1: np.array([], dtype=np.int64)},
-        spec=KernelSpec(),
     )
 
 
 def test_identity_weights_give_zero_projector():
     pj = within_projections(manual_weight_set(np.eye(5)), "optimal")
-    assert_allclose(pj.for_dim(1), 0.0, atol=1e-12)
+    assert_allclose(pj[1], 0.0, atol=1e-12)
 
 
 def test_uniform_weights_give_demeaning_projector():
     n = 6
     pj = within_projections(manual_weight_set(np.full((n, n), 1.0 / n)), "optimal")
-    assert_allclose(pj.for_dim(1), np.eye(n) - 1.0 / n, atol=1e-10)
+    assert_allclose(pj[1], np.eye(n) - 1.0 / n, atol=1e-10)
 
 
 def test_full_rank_weights_make_the_optimal_estimate_raise(rng):
     """Full-rank weights leave no within-variation: exactly zero data, no estimate from rounding noise."""
     proxies = scalar_proxies(0.0, 1.0, 2.0, 3.0, 4.0)
-    weights = kernel_weights(proxies, KernelSpec(bandwidth=1.0))
-    assert np.linalg.matrix_rank(weights.for_dim(1)) == 5
+    weights = kernel_weights(proxies, "gaussian", 1.0)
+    assert np.linalg.matrix_rank(weights.weights[1]) == 5
     pj = within_projections(weights, "optimal")
-    assert not np.any(pj.for_dim(1))
+    assert not np.any(pj[1])
     y = rng.standard_normal((5, 4, 3))
     with pytest.raises(EstimationError):
         kernel_fe_estimate(y, [rng.standard_normal((5, 4, 3))], pj)
@@ -266,8 +268,8 @@ def test_full_rank_weights_make_the_optimal_estimate_raise(rng):
 def test_optimal_projector_is_symmetric_idempotent(seed):
     rng = np.random.default_rng(seed)
     proxies = proxy_set({1: rng.standard_normal((7, 1))})
-    w = kernel_weights(proxies, KernelSpec(bandwidth=0.8))
-    m = within_projections(w, "optimal").for_dim(1)
+    w = kernel_weights(proxies, "gaussian", 0.8)
+    m = within_projections(w, "optimal")[1]
     assert_allclose(m, m.T, atol=1e-8)
     assert_allclose(m @ m, m, atol=1e-8)
 
@@ -282,9 +284,8 @@ def test_iterative_fit_with_single_column_matches_plain_kernel_fit():
     x = 0.6 * effects + rng.standard_normal(shape)
     y = x + effects + 0.1 * rng.standard_normal(shape)
     proxies = residual_proxies(y - x, 1)
-    spec = KernelSpec(bandwidth=0.8)
-    plain = kernel_fe_estimate(y, [x], within_projections(kernel_weights(proxies, spec)))
-    iterated = iterative_kernel_fe(y, [x], proxies, spec)
+    plain = kernel_fe_estimate(y, [x], within_projections(kernel_weights(proxies, "gaussian", 0.8)))
+    iterated = iterative_kernel_fe(y, [x], proxies, "gaussian", 0.8)
     assert iterated.beta[0] == plain.beta[0]
 
 
@@ -298,7 +299,7 @@ def test_attenuation_improves_with_proxy_accuracy():
             mats = [rng.standard_normal((12, 1)) for _ in range(3)]
             effects = cp_compose(mats)
             cols = {d: m + noise_sd * rng.standard_normal(m.shape) for d, m in zip((1, 2, 3), mats)}
-            w = kernel_weights(ProxySet(columns=cols, source="manual"), KernelSpec(bandwidth=0.5))
+            w = kernel_weights(cols, "gaussian", 0.5)
             total += np.linalg.norm(weighted_within(effects, within_projections(w)))
         means.append(total / 100)
     assert means[0] > means[1] > means[2]

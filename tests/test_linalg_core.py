@@ -16,7 +16,7 @@ from tensorfe.inference import (
     orthogonalize,
     pooled_ols,
 )
-from tensorfe.kernel_fe import KernelSpec, iterative_kernel_fe, kernel_fe_estimate, kernel_weights, within_projections
+from tensorfe.kernel_fe import iterative_kernel_fe, kernel_fe_estimate, kernel_weights, within_projections
 from tensorfe.montecarlo import EstimatorSpec, estimate_panel
 from tensorfe.tensor_ops import (
     GRAM_COND_LIMIT,
@@ -133,9 +133,9 @@ COLLINEAR_FITS = {
     "fit_factor_model": lambda y, xs, rng: fit_factor_model(y, xs, 1, 1),
     "pooled_ols": lambda y, xs, rng: pooled_ols(y, xs),
     "kernel_fe_estimate": lambda y, xs, rng: kernel_fe_estimate(
-        y, xs, within_projections(kernel_weights(_proxies(rng), KernelSpec(bandwidth=1.0)))
+        y, xs, within_projections(kernel_weights(_proxies(rng), "gaussian", 1.0))
     ),
-    "iterative_kernel_fe": lambda y, xs, rng: iterative_kernel_fe(y, xs, _proxies(rng), KernelSpec(bandwidth=1.0)),
+    "iterative_kernel_fe": lambda y, xs, rng: iterative_kernel_fe(y, xs, _proxies(rng), "gaussian", 1.0),
     "corrected_estimate": lambda y, xs, rng: corrected_estimate(y, xs, [0.5, 0.5], (1, 1, 1)),
 }
 
@@ -154,7 +154,7 @@ def test_duplicated_regressor_raises_everywhere(name, rng):
 def _kernel_projections(y, x):
     xs = regressor_list(x, y.shape)
     proxies = residual_proxies(net_of(y, xs, pooled_ols(y, xs)), 2)
-    return proxies, within_projections(kernel_weights(proxies, KernelSpec(bandwidth=1.0)))
+    return proxies, within_projections(kernel_weights(proxies, "gaussian", 1.0))
 
 
 ENTRY_POINTS = {
@@ -162,7 +162,7 @@ ENTRY_POINTS = {
     "pooled_ols": pooled_ols,
     "kernel_fe_estimate": lambda y, x: kernel_fe_estimate(y, x, _kernel_projections(y, x)[1]).beta,
     "iterative_kernel_fe": lambda y, x: iterative_kernel_fe(
-        y, x, _kernel_projections(y, x)[0], KernelSpec(bandwidth=1.0)
+        y, x, _kernel_projections(y, x)[0], "gaussian", 1.0
     ).beta,
     "corrected_estimate": lambda y, x: corrected_estimate(y, x, pooled_ols(y, x), (2, 2, 2)).beta,
     "corrected_estimate_split": lambda y, x: corrected_estimate_split(

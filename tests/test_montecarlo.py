@@ -13,7 +13,7 @@ from tensorfe.dgp import DgpConfig, draw
 from tensorfe.errors import EstimationError, RankError
 from tensorfe.factor import fit_factor_model, residual_proxies
 from tensorfe.inference import pooled_ols
-from tensorfe.kernel_fe import KernelSpec, kernel_fe_estimate, kernel_weights, within_projections
+from tensorfe.kernel_fe import kernel_fe_estimate, kernel_weights, within_projections
 from tensorfe.montecarlo import (
     EstimatorSpec,
     RoundRecord,
@@ -231,7 +231,7 @@ def test_estimate_panel_kernel_matches_manual_pipeline():
     resid = y - sum(b * xk for b, xk in zip(prelim.beta, xs))
     proxies = residual_proxies(resid, spec.n_factors)
     projections = within_projections(
-        kernel_weights(proxies, KernelSpec(spec.kernel, spec.bandwidth)), spec.projection
+        kernel_weights(proxies, spec.kernel, spec.bandwidth), spec.projection
     )
     manual = kernel_fe_estimate(y, xs, projections)
     assert_array_equal(report.beta, manual.beta)
@@ -305,8 +305,9 @@ def test_per_dim_spellings_give_identical_reports(setting, kind):
     ]
     for report in reports[1:]:
         assert report == reports[0]
-    with pytest.raises(RankError, match=setting.replace("_", " ")):
-        estimate_panel(panel.outcome, panel.regressors, EstimatorSpec(kind, kind, **{setting: (value, value)}))
+    for bad in ((value, value), dict.fromkeys((1, 2, 3), value)):
+        with pytest.raises(RankError, match=setting.replace("_", " ")):
+            estimate_panel(panel.outcome, panel.regressors, EstimatorSpec(kind, kind, **{setting: bad}))
 
 
 def test_default_proxy_ranks_are_the_factor_count():
@@ -345,10 +346,47 @@ def test_spec_validation():
         EstimatorSpec("x", "ic", effects="oracle")
     with pytest.raises(ValueError):
         EstimatorSpec("x", "ols", vcov="bootstrap")
+    # Checked when the spec is built, so no battery starts with a setting that fails in its kernel fit.
+    with pytest.raises(ValueError, match="unknown kernel family"):
+        EstimatorSpec("x", "ker", kernel="cauchy")
+    with pytest.raises(ValueError, match="unknown projection variant"):
+        EstimatorSpec("x", "ker", projection="best")
+    # Cross-fitting truncates the residual; it would silently ignore the kernel effects.
+    with pytest.raises(ValueError, match="split"):
+        EstimatorSpec("x", "ic", split=True, effects="kernel")
 
 
-def test_unknown_kernel_family_fails_at_estimation_time():
-    panel = draw(CFG_SMALL, np.random.SeedSequence([7]))
-    spec = EstimatorSpec("x", "ker", kernel="tri")
-    with pytest.raises(ValueError):
-        estimate_panel(panel.outcome, panel.regressors, spec)
+# One spec per estimator kind and effects mode; ``factor`` flattens every dimension.
+RELABEL_SPECS = (
+    [EstimatorSpec("ols", "ols"), EstimatorSpec("within", "within")]
+    + [EstimatorSpec(f"factor{d}", "factor", flatten_dim=d) for d in (1, 2, 3)]
+    + [
+        EstimatorSpec("ker", "ker", bandwidth=1.2),
+        EstimatorSpec("ik", "ik", bandwidth=1.2),
+        EstimatorSpec("ic", "ic", bandwidth=1.2, ranks=3),
+        EstimatorSpec("ic-kernel", "ic", bandwidth=1.2, ranks=3, effects="kernel"),
+        EstimatorSpec("ic-split", "ic", bandwidth=1.2, ranks=3, split=True),
+    ]
+)
+
+
+@pytest.mark.parametrize("spec", RELABEL_SPECS, ids=lambda s: s.name)
+def test_relabelling_units_leaves_the_slopes_unchanged(spec):
+    """Permuting the units of one dimension, in y and every regressor alike, is not information.
+
+    ``ic-split`` keeps its split dimension in order, because its fold draw
+    depends on index order.  A factor fit stops at a tolerance, so its kinds
+    may move by far less than that tolerance.
+    """
+    panel = draw(DgpConfig(design="growing", dims=(14, 12, 10)), np.random.SeedSequence([4]))
+    rng = np.random.default_rng(40)
+    y = panel.outcome
+    xs = [panel.regressors[0], rng.standard_normal(y.shape) + 0.5 * panel.effects]
+    base = estimate_panel(y, xs, spec).beta
+    tol = 1e-12 if spec.kind in ("ols", "within") else 1e-7 * max(np.max(np.abs(base)), 1.0)
+    for axis, n in enumerate(y.shape):
+        if spec.split and axis == y.ndim - 1:
+            continue
+        perm = rng.permutation(n)
+        moved = estimate_panel(np.take(y, perm, axis), [np.take(x, perm, axis) for x in xs], spec).beta
+        assert_allclose(moved, base, rtol=0.0, atol=tol, err_msg=f"dimension {axis + 1}")
