@@ -22,7 +22,7 @@ The package is organized around the estimation pipeline:
     command-line front end.
 """
 
-from .dgp import DgpConfig, DgpDraw, draw, draw_fixed, draw_growing
+from .dgp import DgpConfig, DgpDraw, draw
 from .errors import (
     DegenerateWeightsError,
     EstimationError,
@@ -94,8 +94,6 @@ __all__ = [
     "DgpConfig",
     "DgpDraw",
     "draw",
-    "draw_fixed",
-    "draw_growing",
     "DegenerateWeightsError",
     "EstimationError",
     "PanelFormatError",

@@ -1,31 +1,22 @@
 """Simulation designs for the Monte-Carlo harness.
 
-Both designs share the same skeleton: a CP-form interactive-effect component,
-a regressor that co-moves with it through a lag-shifted copy of the factor
-structure, and an error that is heteroskedastic conditional on the
-regressor's idiosyncratic part and autocorrelated along every dimension
-through a short moving-average window.
-
-``growing``
-    All factor loadings iid normal (two components by default); the regressor
-    loads on both the contemporaneous and the lagged factor structure, with
-    the lag weight set by ``rho``.  The effect component's strength grows
-    with the panel, which is exactly the regime where naive within-type
-    transforms stay biased.
-
-``fixed``
-    Dimension 1 has rank-one loadings (unit effect ``a_i`` times component
-    effect ``b_l``) and as many components as dimension-1 units; the effect
-    and lag components are rescaled to unit sample variance so signal and
-    noise stay comparable at every panel size.
+:func:`draw` builds both designs from one skeleton: a CP-form
+interactive-effect component, a regressor that co-moves with it through a
+lag-shifted copy of the factor structure, and an error that is
+heteroskedastic conditional on the regressor's idiosyncratic part and
+autocorrelated along every dimension through a short moving-average window.
+The two designs differ only in how the loadings are drawn and how the
+regressor is mixed; :func:`draw` describes both.
 
 Randomness is fully determined by the supplied seed: draws happen in a fixed
-order (per-dimension loadings with one presample row each, then the
-idiosyncratic regressor part over the lag-extended grid, then the error
-innovations, then the cross-section relabelings).  The relabelings are drawn
-last but applied before any composition: they permute the rows of the first
-two loading matrices and gather the idiosyncratic part and the error once
-each, so every delivered tensor is built already relabelled.
+order (per-dimension loadings with one presample row each — in the fixed
+design the unit effects, then the component effects, then the other
+dimensions — then the idiosyncratic regressor part over the lag-extended
+grid, then the error innovations, then the cross-section relabelings).  The
+relabelings are drawn last but applied before any composition: they permute
+the rows of the first two loading matrices and gather the idiosyncratic part
+and the error once each, so every delivered tensor is built already
+relabelled.
 """
 
 from __future__ import annotations
@@ -43,7 +34,7 @@ DESIGNS = ("growing", "fixed")
 
 @dataclass(frozen=True)
 class DgpConfig:
-    """Which design to draw from, at what size.
+    """Which design to draw from, at what size (:func:`draw` describes both).
 
     ``n_components`` overrides the design's component count (default: 2 for
     ``growing``, the size of dimension 1 for ``fixed``).  ``rho`` scales the
@@ -74,10 +65,6 @@ class DgpConfig:
             raise ValueError(f"n_components must be >= 1, got {self.n_components}")
 
     @property
-    def order(self) -> int:
-        return len(self.dims)
-
-    @property
     def resolved_components(self) -> int:
         if self.n_components is not None:
             return int(self.n_components)
@@ -93,7 +80,6 @@ class DgpDraw:
     effects: np.ndarray
     noise: np.ndarray
     beta_true: np.ndarray
-    config: DgpConfig
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -152,73 +138,46 @@ def _cells_and_loadings(rng: np.random.Generator, config: DgpConfig, loadings):
     return now, lag_sum, idio, err
 
 
-def draw_growing(config: DgpConfig, seed=0) -> DgpDraw:
-    """One draw from the growing design.
-
-    Effects are a two-component (by default) CP tensor with iid normal
-    loadings; the regressor is ``2 * effects - rho * lagged + idio`` where
-    ``lagged`` replaces every loading column by the sum of itself and its
-    one-step lag (each loading matrix carries one presample row).
-    """
-    if config.design != "growing":
-        raise ValueError(f"config is for the {config.design!r} design")
-    rng = _rng_from(seed)
-    dims = config.dims
-    n_comp = config.resolved_components
-
-    loadings = [rng.standard_normal((n + 1, n_comp)) for n in dims]
-    now, lag_sum, idio, err = _cells_and_loadings(rng, config, loadings)
-    effects = cp_compose(now)
-    x = 2.0 * effects - config.rho * cp_compose(lag_sum) + idio
-    y = config.beta_true * x + effects + err
-    return DgpDraw(
-        outcome=y,
-        regressors=[x],
-        effects=effects,
-        noise=err,
-        beta_true=np.array([config.beta_true]),
-        config=config,
-    )
-
-
-def draw_fixed(config: DgpConfig, seed=0) -> DgpDraw:
-    """One draw from the fixed design.
-
-    Dimension 1's loading matrix is rank one (outer product of a unit effect
-    and a component effect); the other dimensions' loadings are iid normal.
-    Both the effect component and the lag-shifted component are rescaled to
-    unit sample variance before entering the regressor, so the regressor
-    decomposes into three equally-scaled parts: effects, lagged structure,
-    and idiosyncratic noise.
-    """
-    if config.design != "fixed":
-        raise ValueError(f"config is for the {config.design!r} design")
-    rng = _rng_from(seed)
-    dims = config.dims
-    n_comp = config.resolved_components
-
-    unit_effects = rng.standard_normal(dims[0] + 1)
-    comp_effects = rng.standard_normal(n_comp)
-    loadings = [np.outer(unit_effects, comp_effects)]
-    loadings += [rng.standard_normal((n + 1, n_comp)) for n in dims[1:]]
-
-    now, lag_sum, idio, err = _cells_and_loadings(rng, config, loadings)
-    effects_raw = cp_compose(now)
-    effects = effects_raw / np.std(effects_raw, ddof=1)
-    lagged_raw = cp_compose(lag_sum)
-    lagged = lagged_raw / np.std(lagged_raw, ddof=1)
-    x = effects + lagged + idio
-    y = config.beta_true * x + effects + err
-    return DgpDraw(
-        outcome=y,
-        regressors=[x],
-        effects=effects,
-        noise=err,
-        beta_true=np.array([config.beta_true]),
-        config=config,
-    )
-
-
 def draw(config: DgpConfig, seed=0) -> DgpDraw:
-    """Dispatch on ``config.design``."""
-    return draw_growing(config, seed) if config.design == "growing" else draw_fixed(config, seed)
+    """One draw from ``config.design``.
+
+    Effects are a CP tensor over the contemporaneous loadings, and the
+    regressor co-moves with ``lagged``, the CP tensor whose loading columns
+    are each replaced by the sum of themselves and their one-step lag (every
+    loading matrix carries one presample row).  The designs differ in two
+    places:
+
+    ``growing``
+        Every loading is iid normal (two components by default), and the
+        regressor is ``2 * effects - rho * lagged + idio``.  The effect
+        component's strength grows with the panel, which is exactly the
+        regime where naive within-type transforms stay biased.
+    ``fixed``
+        Dimension 1's loading matrix is rank one (the outer product of a unit
+        effect and a component effect, drawn in that order before the other
+        dimensions' iid normal loadings), with as many components as
+        dimension-1 units.  ``effects`` and ``lagged`` are rescaled to unit
+        sample variance, and the regressor is ``effects + lagged + idio``:
+        three equally scaled parts, so signal and noise stay comparable at
+        every panel size.
+
+    In both, the outcome is ``beta_true * x + effects + err``.
+    """
+    rng = _rng_from(seed)
+    dims, n_comp = config.dims, config.resolved_components
+    if config.design == "growing":
+        loadings = [rng.standard_normal((n + 1, n_comp)) for n in dims]
+    else:
+        unit_effects = rng.standard_normal(dims[0] + 1)
+        loadings = [np.outer(unit_effects, rng.standard_normal(n_comp))]
+        loadings += [rng.standard_normal((n + 1, n_comp)) for n in dims[1:]]
+
+    now, lag_sum, idio, err = _cells_and_loadings(rng, config, loadings)
+    effects, lagged = cp_compose(now), cp_compose(lag_sum)
+    if config.design == "growing":
+        x = 2.0 * effects - config.rho * lagged + idio
+    else:
+        effects = effects / np.std(effects, ddof=1)
+        x = effects + lagged / np.std(lagged, ddof=1) + idio
+    y = config.beta_true * x + effects + err
+    return DgpDraw(outcome=y, regressors=[x], effects=effects, noise=err, beta_true=np.array([config.beta_true]))

@@ -97,6 +97,8 @@ def _proxy_matrices(proxies) -> dict[int, np.ndarray]:
         if u.ndim != 2:
             raise TensorShapeError(f"proxies for dimension {d} must be a matrix")
         out[d] = u
+    if not out:
+        raise RankError("no proxy columns supplied")
     return out
 
 
@@ -112,8 +114,6 @@ def kernel_weights(proxies, family: str, bandwidth) -> WeightSet:
     transform would annihilate that entire dimension.
     """
     columns = _proxy_matrices(proxies)
-    if not columns:
-        raise RankError("no proxy columns supplied")
     bandwidths = [float(h) for h in per_dim(bandwidth, len(columns), "bandwidths")]
     for h in bandwidths:
         if not (np.isfinite(h) and h > 0):
@@ -224,11 +224,14 @@ class KernelFeFit:
 
 def _within_fit(y, x, projections: dict[int, np.ndarray], degenerate_rows: dict) -> KernelFeFit:
     # The shared tail of both kernel estimators: transform, then pooled OLS.
-    # A zero within matrix would leave no data to fit.  ``I - W`` is zero only
+    # No within matrix at all would make the fit pooled OLS under a kernel
+    # label.  A zero within matrix would leave no data to fit.  ``I - W`` is zero only
     # when every row is isolated, which ``kernel_weights`` already rejects, so
     # in practice this is the full-rank optimal projection.
     y_arr = as_tensor(y, name="outcome", min_order=2)
     xs = regressor_list(x, y_arr.shape)
+    if not projections:
+        raise RankError("no within matrices supplied; the fit would be pooled OLS")
     for d in sorted(projections):
         if not np.any(projections[d]):
             raise EstimationError(f"the optimal projection removes all data: dimension {d}'s kernel weights have full rank")

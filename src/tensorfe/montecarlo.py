@@ -167,7 +167,7 @@ class McSummary:
         raise KeyError(f"no summary row for estimator {estimator!r}")
 
     def format_table(self) -> str:
-        header = f"{'estimator':<22} {'rounds':>6} {'fail':>4} {'bias':>9} {'sd':>8} {'rmse':>8} {'cover':>6} {'mean_se':>8}"
+        header = f"{'estimator':<22} {'ok':>6} {'fail':>4} {'bias':>9} {'sd':>8} {'rmse':>8} {'cover':>6} {'mean_se':>8}"
         lines = [header, "-" * len(header)]
         for r in self.rows:
             lines.append(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from tensorfe.dgp import DgpConfig, draw, draw_fixed, draw_growing
+from tensorfe.dgp import DgpConfig, draw
 from tensorfe.errors import TensorShapeError
 from tensorfe.inference import pooled_ols
 from tensorfe.tensor_ops import multilinear_rank
@@ -103,8 +103,8 @@ def test_construction_identity(design, permute):
 
 
 def test_relabeling_preserves_the_multiset_of_cells():
-    on = draw_growing(DgpConfig(dims=(6, 6, 6)), np.random.SeedSequence([9]))
-    off = draw_growing(
+    on = draw(DgpConfig(dims=(6, 6, 6)), np.random.SeedSequence([9]))
+    off = draw(
         DgpConfig(dims=(6, 6, 6), permute_cross_sections=False), np.random.SeedSequence([9])
     )
     assert_allclose(np.sort(on.outcome.ravel()), np.sort(off.outcome.ravel()), atol=1e-12)
@@ -112,13 +112,13 @@ def test_relabeling_preserves_the_multiset_of_cells():
 
 
 def test_regressor_tracks_effects_when_feedback_is_off():
-    panel = draw_growing(DgpConfig(dims=(30, 30, 30), rho=0.0), np.random.SeedSequence([5]))
+    panel = draw(DgpConfig(dims=(30, 30, 30), rho=0.0), np.random.SeedSequence([5]))
     corr = np.corrcoef(panel.regressors[0].ravel(), panel.effects.ravel())[0, 1]
     assert corr > 0.5
 
 
 def test_noise_variance_matches_clipped_innovation_formula():
-    panel = draw_growing(DgpConfig(dims=(40, 40, 40)), np.random.SeedSequence([6]))
+    panel = draw(DgpConfig(dims=(40, 40, 40)), np.random.SeedSequence([6]))
     target = noise_variance_target()
     assert target == pytest.approx(3.6822, abs=5e-4)
     assert abs(panel.noise.var() / target - 1.0) < 0.10
@@ -126,7 +126,7 @@ def test_noise_variance_matches_clipped_innovation_formula():
 
 def test_adjacent_cells_share_half_their_innovations():
     cfg = DgpConfig(dims=(30, 30, 30), permute_cross_sections=False)
-    noise = draw_growing(cfg, np.random.SeedSequence([7])).noise
+    noise = draw(cfg, np.random.SeedSequence([7])).noise
     for axis in range(3):
         rolled = np.moveaxis(noise, axis, 0)
         corr = np.corrcoef(rolled[:-1].ravel(), rolled[1:].ravel())[0, 1]
@@ -140,7 +140,7 @@ def test_effect_cell_moments():
     n_draws = 600
     cells = np.array(
         [
-            draw_growing(DgpConfig(dims=(4, 4, 4)), np.random.SeedSequence([8, i])).effects[0, 0, 0]
+            draw(DgpConfig(dims=(4, 4, 4)), np.random.SeedSequence([8, i])).effects[0, 0, 0]
             for i in range(n_draws)
         ]
     )
@@ -149,13 +149,13 @@ def test_effect_cell_moments():
 
 
 def test_fixed_design_effects_structure():
-    panel = draw_fixed(DgpConfig(design="fixed", dims=(6, 7, 8)), np.random.SeedSequence([10]))
+    panel = draw(DgpConfig(design="fixed", dims=(6, 7, 8)), np.random.SeedSequence([10]))
     assert multilinear_rank(panel.effects).ranks == (1, 6, 6)
     assert panel.effects.var(ddof=1) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fixed_design_confounds_pooled_ols():
-    panel = draw_fixed(DgpConfig(design="fixed", dims=(40, 40, 40)), np.random.SeedSequence([11]))
+    panel = draw(DgpConfig(design="fixed", dims=(40, 40, 40)), np.random.SeedSequence([11]))
     bias = pooled_ols(panel.outcome, panel.regressors)[0] - 1.0
     assert bias == pytest.approx(0.365, abs=0.03)
 

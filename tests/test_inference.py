@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from tensorfe.dgp import DgpConfig, draw_fixed, draw_growing
+from tensorfe.dgp import DgpConfig, draw
 from tensorfe.errors import EstimationError, RankError, TensorShapeError
 from tensorfe.factor import fit_factor_model, residual_proxies
 from tensorfe.inference import (
@@ -398,7 +398,7 @@ def test_normal_interval_coverage_with_iid_errors():
     hits, n_draws = 0, 1000
     sigma = float(np.sqrt(3.682))
     for i in range(n_draws):
-        panel = draw_growing(DgpConfig(dims=(30, 30, 30)), np.random.SeedSequence([77, i]))
+        panel = draw(DgpConfig(dims=(30, 30, 30)), np.random.SeedSequence([77, i]))
         rng = np.random.default_rng(np.random.SeedSequence([78, i]))
         y = panel.regressors[0] + panel.effects + sigma * rng.standard_normal(panel.shape)
         fit = ic_pipeline(y, panel.regressors)
@@ -480,7 +480,7 @@ def test_split_and_plain_estimates_agree_within_sampling_error():
     """Cross-fitting changes nothing material on the growing design."""
     n_draws, close = 200, 0
     for i in range(n_draws):
-        panel = draw_growing(DgpConfig(dims=(16, 16, 16)), np.random.SeedSequence([79, i]))
+        panel = draw(DgpConfig(dims=(16, 16, 16)), np.random.SeedSequence([79, i]))
         y, xs = panel.outcome, panel.regressors
         fit = ic_pipeline(y, xs)
         se = float(np.sqrt(var_hac(fit.eta, fit.residual, (1, 1, 1))[0, 0]))
@@ -503,14 +503,14 @@ def test_full_rank_projection_raises_in_the_plain_and_the_split_estimator():
     The projection is then the identity, so neither estimator may fit a slope
     to what is left: rounding noise, whose HAC standard error ran to 1e13.
     """
-    panel = draw_growing(DgpConfig(dims=(8, 6, 5)), np.random.SeedSequence([3]))
+    panel = draw(DgpConfig(dims=(8, 6, 5)), np.random.SeedSequence([3]))
     y, xs = panel.outcome, panel.regressors
     with pytest.raises(EstimationError, match="cleaned regressors are identically zero"):
         corrected_estimate(y, xs, pooled_ols(y, xs), (8, 6, 5))
     plan = crossfit_split(y.shape, 1, seed=0)
     with pytest.raises(EstimationError, match="cross-fitted cleaned regressors are identically zero"):
         corrected_estimate_split(y, xs, (2, 6, 5), plan)
-    panel = draw_fixed(DgpConfig(design="fixed", dims=(6, 5, 4, 4)), 0)
+    panel = draw(DgpConfig(design="fixed", dims=(6, 5, 4, 4)), 0)
     plan = crossfit_split(panel.shape, 1, seed=0)
     with pytest.raises(EstimationError, match="cross-fitted cleaned regressors are identically zero"):
         corrected_estimate_split(panel.outcome, panel.regressors, (2, 5, 4, 4), plan)
@@ -546,7 +546,7 @@ def dense_projector_split(y, xs, ranks, plan):
 @pytest.mark.parametrize("n_reg", [1, 2])
 @pytest.mark.parametrize("split_dim", [1, 3])
 def test_split_estimate_matches_dense_projector_cross_fit(n_reg, split_dim):
-    panel = draw_growing(DgpConfig(dims=(10, 9, 12)), np.random.SeedSequence([61, split_dim]))
+    panel = draw(DgpConfig(dims=(10, 9, 12)), np.random.SeedSequence([61, split_dim]))
     promo = (np.random.default_rng(split_dim).random(panel.shape) < 0.25).astype(float)
     y, xs = panel.outcome - 0.5 * promo, (panel.regressors + [promo])[:n_reg]
     plan = crossfit_split(y.shape, split_dim, seed=split_dim)

@@ -289,6 +289,17 @@ def test_iterative_fit_with_single_column_matches_plain_kernel_fit():
     assert iterated.beta[0] == plain.beta[0]
 
 
+def test_kernel_estimators_reject_a_fit_without_proxies(rng):
+    """No proxies means no within transform: an error, not pooled OLS under a kernel label."""
+    y, x = rng.standard_normal((5, 4, 3)), rng.standard_normal((5, 4, 3))
+    with pytest.raises(RankError, match="no proxy columns"):
+        kernel_weights({}, "gaussian", 1.0)
+    with pytest.raises(RankError, match="no proxy columns"):
+        iterative_kernel_fe(y, [x], {}, "gaussian", 1.0)
+    with pytest.raises(RankError, match="no within matrices"):
+        kernel_fe_estimate(y, [x], {})
+
+
 def test_attenuation_improves_with_proxy_accuracy():
     """Better proxies leave less of the confounder behind after the transform."""
     means = []

@@ -211,6 +211,14 @@ def test_format_table_lists_every_estimator():
     assert "bias" in table and "cover" in table and "rmse" in table
 
 
+def test_format_table_counts_successful_and_failed_rounds_apart():
+    records = [record("ols", 1.0 + 0.01 * i, idx=i, failed=i == 3) for i in range(4)]
+    summary = montecarlo.McSummary(CFG_SMALL, 0, 4, summarize(records, 1.0), records)
+    header, _, row = summary.format_table().splitlines()
+    assert header.split()[:3] == ["estimator", "ok", "fail"]
+    assert row.split()[:3] == ["ols", "3", "1"]
+
+
 # -- per-panel estimation -----------------------------------------------------
 
 
