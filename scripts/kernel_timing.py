@@ -4,7 +4,10 @@
 Covers ``tensor_ops.mode_product`` on every mode of a 40^3, a 12^4 and an
 80x30x100 tensor (square ``N_d x N_d`` factor), ``tensor_ops.cp_compose`` on
 the loadings of both simulation designs (growing 40^3 with 2 components,
-fixed 12^4 with 12), and ``dgp.draw`` for both designs at those sizes.  Each
+fixed 12^4 with 12), ``dgp.draw`` for both designs at those sizes, and
+``panel_io.load_panel_csv`` on an 80x30x100 panel with two regressors (the
+shape of the ``csv-estimate`` benchmark workload), written once by
+``write_panel_csv`` to a temporary directory that is removed afterwards.  Each
 figure is the minimum over ``REPEAT`` runs of the mean time of one call,
 with the call count per run picked by ``timeit``'s autorange (at least
 0.2 s per run), so a change to one kernel can be compared apart from the
@@ -22,16 +25,20 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECL
     os.environ[_var] = "1"
 
 import json
+import tempfile
 import timeit
+from pathlib import Path
 
 import numpy as np
 
 from tensorfe.dgp import DgpConfig, draw
+from tensorfe.panel_io import load_panel_csv, write_panel_csv
 from tensorfe.tensor_ops import cp_compose, mode_product
 
 MODE_PRODUCT_SHAPES = [(40, 40, 40), (12, 12, 12, 12), (80, 30, 100)]
 CP_LOADINGS = [("growing-40^3", (40, 40, 40), 2), ("fixed-12^4", (12, 12, 12, 12), 12)]
 DRAWS = [("growing-40^3", "growing", (40, 40, 40)), ("fixed-12^4", "fixed", (12, 12, 12, 12))]
+LOAD_SHAPE, LOAD_REGRESSORS = (80, 30, 100), 2
 REPEAT = 7
 
 
@@ -57,6 +64,14 @@ def cases():
     for label, design, dims in DRAWS:
         config = DgpConfig(design, dims)
         yield f"dgp.draw/{label}", lambda config=config: draw(config, np.random.SeedSequence([7, 0]))
+    label = "x".join(map(str, LOAD_SHAPE))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        y, *xs = rng.standard_normal((1 + LOAD_REGRESSORS, *LOAD_SHAPE))
+        write_panel_csv(path, y, xs)  # default column names: dim1, dim2, ..., y, x1, x2, ...
+        index_cols = [f"dim{n}" for n in range(1, len(LOAD_SHAPE) + 1)]
+        x_cols = [f"x{k}" for k in range(1, LOAD_REGRESSORS + 1)]
+        yield f"panel_io.load_panel_csv/{label}/K{LOAD_REGRESSORS}", lambda: load_panel_csv(path, index_cols, "y", x_cols)
 
 
 def main() -> int:

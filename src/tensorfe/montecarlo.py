@@ -13,8 +13,6 @@ factor-based preliminary fit.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -449,6 +447,9 @@ def run_monte_carlo(
     records: list[RoundRecord] = []
     args = [(config, master_seed, idx, specs) for idx in range(rounds)]
     if threads > 1:
+        import concurrent.futures  # imported here: only a threaded run pays for them
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         chunk = max(1, rounds // (threads * 8))
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:

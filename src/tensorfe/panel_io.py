@@ -16,18 +16,25 @@ Parse rules of ``load_panel_csv``:
   the header;
 * values follow numpy's float grammar (``1.5``, ``-2e-3``, `` 4 ``), which
   unlike Python's ``float`` rejects digit separators such as ``1_000``;
-  ``inf`` and ``nan`` parse but are rejected as non-finite.
+  ``inf`` and ``nan`` parse but are rejected as non-finite;
+* the file is text in the locale's encoding, read with universal newlines:
+  a line ends at ``\n``, ``\r\n`` or ``\r``, and a line break inside a
+  quoted label reads as ``\n`` whatever the file's line endings; a file that
+  does not decode (a compressed file, say) is rejected.
 
-The columns are parsed by one ``numpy.loadtxt`` pass, which codes the labels
-as it reads them.  Only when that parse or the grid check finds a fault is
-the file read again row by row, to name the offending row, cell or labels.
+The columns are parsed by one ``numpy.loadtxt`` pass over the file's path,
+which numpy reads in large blocks, coding the labels as it reads them.  Only
+when that parse or the grid check finds a fault is the file read again row
+by row, to name the offending row, cell or labels.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
+import os
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
@@ -39,6 +46,8 @@ from .tensor_ops import as_tensor
 
 _MAX_REPORTED = 10
 _GRAMMAR = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
+# suffixes that numpy's file opener decompresses; it also fetches a name with a scheme (``a://b``)
+_OPENER_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 @dataclass
@@ -60,7 +69,7 @@ def load_panel_csv(path, index_cols, y_col: str, x_cols) -> tuple[PanelFrame, np
 
     Parameters
     ----------
-    path : str or path-like
+    path : str, bytes or path-like
         CSV file with a header row.
     index_cols : sequence of str
         Names of the index columns, in dimension order.
@@ -72,7 +81,8 @@ def load_panel_csv(path, index_cols, y_col: str, x_cols) -> tuple[PanelFrame, np
     Raises
     ------
     PanelFormatError
-        On a column requested twice, missing or repeated header columns,
+        On a file that does not decode in the locale's encoding, a column
+        requested twice, missing or repeated header columns,
         unparseable or non-finite values, duplicate cells, or an incomplete
         grid; messages cite the offending row or labels.
     """
@@ -87,27 +97,30 @@ def load_panel_csv(path, index_cols, y_col: str, x_cols) -> tuple[PanelFrame, np
     if twice:
         raise PanelFormatError(f"column(s) {twice} requested more than once among the index, outcome and regressors")
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError(f"{path}: empty file") from None
-        header_lines = reader.line_num  # a quoted header name may span lines
-    missing_cols = [c for c in requested if c not in header]
-    if missing_cols:
-        raise PanelFormatError(f"{path}: missing column(s) {missing_cols}; header has {header}")
-    repeated = [c for c in dict.fromkeys(requested) if header.count(c) > 1]
-    if repeated:
-        raise PanelFormatError(f"{path}: column(s) {repeated} appear more than once in the header {header}")
-    idx_pos = [header.index(c) for c in index_cols]
-    val_pos = [header.index(c) for c in [y_col] + x_cols]
-
     try:
-        dim_labels, tensors = _read_grid(path, header_lines, idx_pos, val_pos, len(header))
-    except ValueError as exc:
-        _diagnose(path, idx_pos, val_pos, len(header))
-        raise PanelFormatError(f"{path}: {exc}") from None
+        with open(path) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            header_lines = reader.line_num  # a quoted header name may span lines
+        if header is None:
+            raise PanelFormatError(f"{path}: empty file")
+        missing_cols = [c for c in requested if c not in header]
+        if missing_cols:
+            raise PanelFormatError(f"{path}: missing column(s) {missing_cols}; header has {header}")
+        repeated = [c for c in dict.fromkeys(requested) if header.count(c) > 1]
+        if repeated:
+            raise PanelFormatError(f"{path}: column(s) {repeated} appear more than once in the header {header}")
+        idx_pos = [header.index(c) for c in index_cols]
+        val_pos = [header.index(c) for c in [y_col] + x_cols]
+
+        try:
+            dim_labels, tensors = _read_grid(path, header_lines, idx_pos, val_pos, len(header))
+        except ValueError as exc:  # a UnicodeDecodeError too: _diagnose meets it again
+            _diagnose(path, idx_pos, val_pos, len(header))
+            raise PanelFormatError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise PanelFormatError(f"{path}: not {exc.encoding} text (undecodable byte 0x{byte:02x})") from None
     frame = PanelFrame(
         dim_names=tuple(index_cols),
         dim_labels=dim_labels,
@@ -120,26 +133,31 @@ def load_panel_csv(path, index_cols, y_col: str, x_cols) -> tuple[PanelFrame, np
 def _read_grid(path, header_lines: int, idx_pos, val_pos, n_fields: int):
     """Labels and tensors of a valid panel file; ``ValueError`` on any fault.
 
-    One ``loadtxt`` pass reads the label and value columns as float64.  Each
-    label column's converter is the ``__getitem__`` of a ``defaultdict``
-    whose factory counts up, so labels are coded in order of first
-    appearance without a Python frame per field.  The last header column is
-    read too (its converter is ``len``, so its text is never parsed as a
-    float) when no requested column is last, so that ``loadtxt`` rejects a
-    row shorter than the header.  Converter keys are file-column indices.
+    One ``loadtxt`` pass reads the label and value columns as float64.  It is
+    handed the path, not a file object, since it reads a path in blocks but a
+    file object one line at a time; a name that numpy's opener would
+    decompress or fetch goes in as an open file, so it is read as written.
+    Each label column's converter is the ``__getitem__`` of a ``defaultdict``
+    whose factory counts up in floats, so labels are coded in order of first
+    appearance, as the float64 that ``loadtxt`` stores, without a Python
+    frame per field.  The last header column is read too (its converter is
+    ``len``, so its text is never parsed as a float) when no requested
+    column is last, so that ``loadtxt`` rejects a row shorter than the
+    header.  Converter keys are file-column indices.
     """
     sentinel = [n_fields - 1] if n_fields - 1 > max(idx_pos + val_pos) else []
-    label_maps = [defaultdict(itertools.count().__next__) for _ in idx_pos]
+    label_maps = [defaultdict(itertools.count(0.0).__next__) for _ in idx_pos]
     converters = {pos: label_map.__getitem__ for pos, label_map in zip(idx_pos, label_maps)}
     converters.update(dict.fromkeys(sentinel, len))
-    with warnings.catch_warnings():
+    source = os.fsdecode(path)
+    with warnings.catch_warnings(), contextlib.ExitStack() as stack:
         # loadtxt warns on an empty line (skipped by design) and on a file without rows (rejected below)
         warnings.simplefilter("ignore", UserWarning)
-        # newline="" as for csv.reader: a quoted label keeps its line break as written
-        with open(path, newline="") as fh:
-            table = np.loadtxt(
-                fh, usecols=idx_pos + val_pos + sentinel, converters=converters, skiprows=header_lines, **_GRAMMAR
-            )
+        if source.endswith(_OPENER_SUFFIXES) or "://" in source:
+            source = stack.enter_context(open(path))
+        table = np.loadtxt(
+            source, usecols=idx_pos + val_pos + sentinel, converters=converters, skiprows=header_lines, **_GRAMMAR
+        )
     if len(table) == 0:
         raise ValueError("no data rows")
     values = table[:, len(idx_pos) : len(idx_pos) + len(val_pos)]
@@ -163,7 +181,7 @@ def _diagnose(path, idx_pos, val_pos, n_fields: int) -> None:
     name the row; duplicate and missing cells are named by their labels, at
     most ``_MAX_REPORTED`` of each.  Returns if the row loop finds no fault.
     """
-    with open(path, newline="") as fh:
+    with open(path) as fh:
         reader = csv.reader(fh)
         next(reader)
         label_maps: list[dict[str, int]] = [{} for _ in idx_pos]

@@ -2,6 +2,9 @@
 
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +177,14 @@ def test_thread_count_does_not_change_results():
     ser = {(r.round_index, r.estimator): r.estimate for r in serial.records}
     par = {(r.round_index, r.estimator): r.estimate for r in parallel.records}
     assert ser == par
+
+
+def test_importing_the_package_leaves_the_worker_pool_modules_unloaded():
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    probe = "import sys, tensorfe; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_failures_are_recorded_not_raised():

@@ -1,5 +1,11 @@
 """CSV panel round trips and malformed-input reporting."""
 
+import codecs
+import gzip
+import locale
+import os
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -145,3 +151,82 @@ def test_column_requested_twice_is_rejected_before_reading_rows(tmp_path, monkey
     monkeypatch.setattr("tensorfe.panel_io._read_grid", no_rows)
     with pytest.raises(PanelFormatError, match=f"{repeated}.*requested more than once"):
         load_panel_csv(path, index_cols, "y", x_cols)
+
+
+def newline_panel(path, first_dim_labels):
+    """A 2 x 2 x 2 panel written by ``write_panel_csv`` with the given labels on dimension 1."""
+    y = np.arange(8.0).reshape(2, 2, 2) / 3
+    write_panel_csv(path, y, [-y], dim_names=INDEX, dim_labels=[first_dim_labels, ["p1", "p2"], ["w1", "w2"]])
+    return y
+
+
+def test_a_line_break_in_a_label_reads_as_a_newline(tmp_path):
+    path = tmp_path / "panel.csv"
+    y = newline_panel(path, ["a\r\nb", "c\rd"])
+    assert b'"a\r\nb"' in path.read_bytes() and b'"c\rd"' in path.read_bytes()  # written as given
+    frame, y2, xs2 = load_panel_csv(path, INDEX, "y", ["x1"])
+    assert frame.dim_labels[0] == ["a\nb", "c\nd"]
+    assert_array_equal(y2, y)
+    assert_array_equal(xs2[0], -y)
+
+
+def test_labels_differing_only_in_line_ending_are_one_label(tmp_path):
+    path = tmp_path / "panel.csv"
+    newline_panel(path, ["a\r\nb", "a\nb"])
+    with pytest.raises(PanelFormatError, match=r"duplicate cell\(s\), e\.g\. \[\('a\\nb', 'p1', 'w1'\)"):
+        load_panel_csv(path, INDEX, "y", ["x1"])
+
+
+@pytest.mark.parametrize("kind", [str, os.fsencode, lambda p: p], ids=["str", "bytes", "pathlib"])
+def test_every_kind_of_path_loads(tmp_path, kind):
+    path = tmp_path / "panel.csv"
+    y = newline_panel(path, ["s1", "s2"])
+    frame, y2, _ = load_panel_csv(kind(path), INDEX, "y", ["x1"])
+    assert frame.dim_labels[0] == ["s1", "s2"]
+    assert_array_equal(y2, y)
+
+
+def test_a_plain_text_file_named_gz_is_read_as_written(tmp_path):
+    path = tmp_path / "panel.csv.gz"
+    y = newline_panel(path, ["s1", "s2"])
+    _, y2, _ = load_panel_csv(path, INDEX, "y", ["x1"])
+    assert_array_equal(y2, y)
+
+
+def test_a_relative_path_that_looks_like_a_url_is_read_as_a_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a:").mkdir()
+    y = newline_panel(tmp_path / "a:" / "panel.csv", ["s1", "s2"])
+    _, y2, _ = load_panel_csv("a://panel.csv", INDEX, "y", ["x1"])
+    assert_array_equal(y2, y)
+
+
+utf8_locale = pytest.mark.skipif(
+    codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+    reason="the bytes below are undecodable only in a UTF-8 locale",
+)
+
+
+@utf8_locale
+@pytest.mark.parametrize("dim", [0, 2], ids=["in the header's chunk", "past the first chunk"])
+def test_a_latin1_label_names_the_file(tmp_path, dim):
+    shape = (40, 30, 2)
+    labels = [[f"l{i}" for i in range(n)] for n in shape]
+    labels[dim][-1] = "caf\u00e9"
+    path = tmp_path / "panel.csv"
+    write_panel_csv(path, np.ones(shape), [np.ones(shape)], dim_names=INDEX, dim_labels=labels)
+    text = path.read_text(encoding="utf-8")
+    assert (text.index("caf") > 8192) == (dim > 0)
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(PanelFormatError, match=re.escape(f"{path}: not utf-8 text (undecodable byte 0xe9)") + "$"):
+        load_panel_csv(path, INDEX, "y", ["x1"])
+
+
+@utf8_locale
+def test_a_gzip_file_is_rejected(tmp_path):
+    plain = tmp_path / "panel.csv"
+    newline_panel(plain, ["s1", "s2"])
+    path = tmp_path / "panel.csv.gz"
+    path.write_bytes(gzip.compress(plain.read_bytes()))
+    with pytest.raises(PanelFormatError, match=re.escape(f"{path}: not utf-8 text")):
+        load_panel_csv(path, INDEX, "y", ["x1"])

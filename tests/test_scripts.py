@@ -56,6 +56,7 @@ def test_kernel_timing_cases_all_run(monkeypatch):
         call()
         names.append(name)
     assert "dgp.draw/growing-40^3" in names and "dgp.draw/fixed-12^4" in names
+    assert "panel_io.load_panel_csv/80x30x100/K2" in names
 
 
 def test_fit_battery_reference_agrees_with_the_factor_fit():
