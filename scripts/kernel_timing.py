@@ -7,7 +7,10 @@ the loadings of both simulation designs (growing 40^3 with 2 components,
 fixed 12^4 with 12), ``dgp.draw`` for both designs at those sizes, and
 ``panel_io.load_panel_csv`` on an 80x30x100 panel with two regressors (the
 shape of the ``csv-estimate`` benchmark workload), written once by
-``write_panel_csv`` to a temporary directory that is removed afterwards.  Each
+``write_panel_csv`` to a temporary directory that is removed afterwards, and
+``inference.corrected_estimate_split`` on that panel (ranks 4, split dimension
+3 as in the workload's ``ic-split``, pooled-OLS preliminary slopes, so the
+fold loop is timed without the kernel fits).  Each
 figure is the minimum over ``REPEAT`` runs of the mean time of one call,
 with the call count per run picked by ``timeit``'s autorange (at least
 0.2 s per run), so a change to one kernel can be compared apart from the
@@ -32,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from tensorfe.dgp import DgpConfig, draw
+from tensorfe.inference import corrected_estimate_split, crossfit_split
 from tensorfe.panel_io import load_panel_csv, write_panel_csv
 from tensorfe.tensor_ops import cp_compose, mode_product
 
@@ -39,6 +43,7 @@ MODE_PRODUCT_SHAPES = [(40, 40, 40), (12, 12, 12, 12), (80, 30, 100)]
 CP_LOADINGS = [("growing-40^3", (40, 40, 40), 2), ("fixed-12^4", (12, 12, 12, 12), 12)]
 DRAWS = [("growing-40^3", "growing", (40, 40, 40)), ("fixed-12^4", "fixed", (12, 12, 12, 12))]
 LOAD_SHAPE, LOAD_REGRESSORS = (80, 30, 100), 2
+SPLIT_RANKS, SPLIT_DIM = (4, 4, 4), 3
 REPEAT = 7
 
 
@@ -72,6 +77,11 @@ def cases():
         index_cols = [f"dim{n}" for n in range(1, len(LOAD_SHAPE) + 1)]
         x_cols = [f"x{k}" for k in range(1, LOAD_REGRESSORS + 1)]
         yield f"panel_io.load_panel_csv/{label}/K{LOAD_REGRESSORS}", lambda: load_panel_csv(path, index_cols, "y", x_cols)
+    plan = crossfit_split(LOAD_SHAPE, SPLIT_DIM, seed=0)
+    yield (
+        f"inference.corrected_estimate_split/{label}/K{LOAD_REGRESSORS}/dim{SPLIT_DIM}",
+        lambda: corrected_estimate_split(y, xs, SPLIT_RANKS, plan),
+    )
 
 
 def main() -> int:

@@ -24,10 +24,8 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .dgp import DESIGNS, DgpConfig
-from .errors import EstimationError, PanelFormatError, RankError, TensorShapeError
+from .errors import ESTIMATION_ERRORS, PanelFormatError
 from .kernel_fe import KERNEL_FAMILIES
 from .montecarlo import (
     EFFECTS_MODES,
@@ -40,15 +38,7 @@ from .inference import pooled_ols
 from .panel_io import load_panel_csv
 from .tensor_ops import multilinear_rank, net_of
 
-_DOMAIN_ERRORS = (
-    PanelFormatError,
-    EstimationError,
-    RankError,
-    TensorShapeError,
-    ValueError,
-    OSError,
-    np.linalg.LinAlgError,
-)
+_DOMAIN_ERRORS = ESTIMATION_ERRORS + (PanelFormatError, ValueError, OSError)
 
 # Method token -> (estimator kind, spec name, spec fields the token fixes).
 # The name is formatted with the factor's dimension ``dim`` or the bandwidth ``h``.

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class TensorShapeError(ValueError):
     """A tensor argument has the wrong order, shape, or non-finite entries."""
@@ -19,3 +21,8 @@ class DegenerateWeightsError(EstimationError):
 
 class PanelFormatError(ValueError):
     """A panel CSV is malformed: bad values, duplicate or missing cells."""
+
+
+# The errors by which an estimator reports that it cannot estimate a panel:
+# a Monte-Carlo round records them as a failure and the CLI prints them.
+ESTIMATION_ERRORS = (EstimationError, RankError, TensorShapeError, np.linalg.LinAlgError)

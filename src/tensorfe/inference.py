@@ -96,11 +96,14 @@ def _orthogonalize(y_arr: np.ndarray, xs: list[np.ndarray], beta_tilde, ranks, e
         effects = as_tensor(effects, name="effects")
         if effects.shape != y_arr.shape:
             raise TensorShapeError(f"effects has shape {effects.shape}, expected {y_arr.shape}")
+    return _assemble(xs, bt, ranks, gamma_x, effects)
+
+
+def _assemble(xs: list[np.ndarray], bt: np.ndarray, ranks, gamma_x: list[np.ndarray], effects) -> Orthogonalization:
+    # The nuisance objects of regressors ``xs`` given their low-rank parts and the effects estimate.
     gamma_y = sum(b * g for b, g in zip(bt, gamma_x)) + effects
     eta = [xk - g for xk, g in zip(xs, gamma_x)]
-    return Orthogonalization(
-        gamma_x=gamma_x, effects=effects, gamma_y=gamma_y, eta=eta, beta_tilde=bt, ranks=ranks
-    )
+    return Orthogonalization(gamma_x, effects, gamma_y, eta, beta_tilde=bt, ranks=ranks)
 
 
 @dataclass
@@ -109,8 +112,8 @@ class CorrectedFit:
 
     ``eta`` and ``residual`` are full-shape tensors (residual = outcome net of
     regression part and estimated effects), so downstream HAC estimators can
-    use true index adjacency.  ``scatter`` of cross-fitted pieces preserves the
-    original index order.
+    use true index adjacency; the cross-fitted estimator puts its two folds'
+    pieces back in original index order.
     """
 
     beta: np.ndarray
@@ -344,10 +347,6 @@ def crossfit_split(shape, dim: int, seed: int = 0) -> CrossfitPlan:
     return CrossfitPlan(dim=dim, fold_a=fold_a, fold_b=fold_b, seed=int(seed))
 
 
-def _take(t: np.ndarray, idx, dim: int) -> np.ndarray:
-    return np.take(t, np.asarray(idx, dtype=np.intp), axis=dim - 1)
-
-
 def pooled_ols(y, x) -> np.ndarray:
     """Plain pooled OLS slope on vectorized tensors (no transform)."""
     y_arr = as_tensor(y, name="outcome")
@@ -372,55 +371,50 @@ def corrected_estimate_split(
     full-rank modes are the identity (all of them full rank leaves nothing of
     the regressors and raises :class:`EstimationError`), and a rank above a
     fold flattening's width keeps all its vectors.  Fold-level cleaned moments
-    are pooled into one slope, and the residual and cleaned regressors are
-    scattered back to full shape in original index order so
-    autocorrelation-aware variance estimators stay meaningful.
+    are pooled into one slope.  The two folds' cleaned regressors and effects
+    are concatenated along the split dimension and put back in original index
+    order with one take, so the residual and cleaned regressors have full
+    shape and autocorrelation-aware variance estimators stay meaningful; the
+    plan's folds must partition the split dimension.
     """
     y_arr = as_tensor(y, name="outcome", min_order=2)
     xs = regressor_list(x, y_arr.shape)
     split_dim = check_dim(plan.dim, y_arr.ndim)
     project_dims = [d for d in range(1, y_arr.ndim + 1) if d != split_dim]
+    axis = split_dim - 1
+    index = np.concatenate(plan.folds)
+    if not np.array_equal(np.sort(index), np.arange(y_arr.shape[axis])):
+        raise RankError(f"the plan's folds do not partition the {y_arr.shape[axis]} units of dimension {split_dim}")
+    # Each fold is the apply fold of one pass and the fit fold of the other.
+    folds = [(np.take(y_arr, idx, axis), [np.take(xk, idx, axis) for xk in xs]) for idx in plan.folds]
+    gram_a, rhs_a, bt_a, pieces_a = _cross_fit_pass(folds[0], folds[1], ranks, project_dims, prelim)
+    gram_b, rhs_b, bt_b, pieces_b = _cross_fit_pass(folds[1], folds[0], ranks, project_dims, prelim)
+    del folds  # freed before the full-shape tensors are built, so the peak stays in the passes
 
-    n_reg = len(xs)
-    gram = np.zeros((n_reg, n_reg))
-    rhs = np.zeros(n_reg)
-    eta_full = [np.zeros_like(y_arr) for _ in xs]
-    effects_full = np.zeros_like(y_arr)
-    fold_prelims: list[np.ndarray] = []
-
-    for apply_idx, fit_idx in ((plan.fold_a, plan.fold_b), (plan.fold_b, plan.fold_a)):
-        fit_y = _take(y_arr, fit_idx, split_dim)
-        fit_x = [_take(xk, fit_idx, split_dim) for xk in xs]
-        bt = np.atleast_1d(np.asarray(prelim(fit_y, fit_x), dtype=np.float64))
-        if bt.shape != (n_reg,) or not np.all(np.isfinite(bt)):
-            raise EstimationError(f"preliminary estimator returned {bt}, expected {n_reg} finite slope(s)")
-        fold_prelims.append(bt)
-
-        sub_y = _take(y_arr, apply_idx, split_dim)
-        sub_x = [_take(xk, apply_idx, split_dim) for xk in xs]
-        gamma_x = [_project(xk, _mode_bases(fk, ranks, project_dims)) for xk, fk in zip(sub_x, fit_x)]
-        effects = _project(net_of(sub_y, sub_x, bt), _mode_bases(net_of(fit_y, fit_x, bt), ranks, project_dims))
-        gamma_y = sum(b * g for b, g in zip(bt, gamma_x)) + effects
-        eta = [xk - g for xk, g in zip(sub_x, gamma_x)]
-
-        fold_gram, fold_rhs = cross_moments(eta, sub_y - gamma_y)
-        gram += fold_gram
-        rhs += fold_rhs
-        scatter = [slice(None)] * y_arr.ndim
-        scatter[split_dim - 1] = np.asarray(apply_idx, dtype=np.intp)
-        scatter = tuple(scatter)
-        for k in range(n_reg):
-            eta_full[k][scatter] = eta[k]
-        effects_full[scatter] = effects
-
-    beta = solve_gram(gram, rhs, "cross-fitted cleaned regressors")
-    residual = net_of(y_arr, xs, beta) - effects_full
+    # Concatenated along the split dimension, the two passes' pieces go back to index order in one take.
+    order = np.argsort(index)
+    effects, *eta = [np.take(np.concatenate(parts, axis), order, axis) for parts in zip(pieces_a, pieces_b)]
+    gram = gram_a + gram_b
+    beta = solve_gram(gram, rhs_a + rhs_b, "cross-fitted cleaned regressors")
     return CorrectedFit(
         beta=beta,
         omega=gram / y_arr.size,
-        residual=residual,
-        eta=eta_full,
-        beta_tilde=np.mean(fold_prelims, axis=0),
+        residual=net_of(y_arr, xs, beta) - effects,
+        eta=eta,
+        beta_tilde=np.mean([bt_a, bt_b], axis=0),
         split=plan,
-        fold_beta_tilde=fold_prelims,
+        fold_beta_tilde=[bt_a, bt_b],
     )
+
+
+def _cross_fit_pass(apply, fit, ranks, project_dims, prelim):
+    # One pass: the preliminary slope and the bases are fitted on the ``fit`` fold and clean the ``apply`` fold.
+    # Returns the pass's normal equations, its preliminary slope, and its effects and cleaned regressors.
+    (sub_y, sub_x), (fit_y, fit_x) = apply, fit
+    bt = np.atleast_1d(np.asarray(prelim(fit_y, fit_x), dtype=np.float64))
+    if bt.shape != (len(sub_x),) or not np.all(np.isfinite(bt)):
+        raise EstimationError(f"preliminary estimator returned {bt}, expected {len(sub_x)} finite slope(s)")
+    gamma_x = [_project(xk, _mode_bases(fk, ranks, project_dims)) for xk, fk in zip(sub_x, fit_x)]
+    effects = _project(net_of(sub_y, sub_x, bt), _mode_bases(net_of(fit_y, fit_x, bt), ranks, project_dims))
+    orth = _assemble(sub_x, bt, ranks, gamma_x, effects)
+    return (*cross_moments(orth.eta, sub_y - orth.gamma_y), bt, [effects, *orth.eta])

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dgp import DgpConfig, draw
-from .errors import EstimationError, RankError, TensorShapeError
+from .errors import ESTIMATION_ERRORS
 from .factor import FactorFit, defactored_regressors, fit_factor_model, residual_proxies
 from .inference import (
     EstimateReport,
@@ -49,7 +49,6 @@ from .tensor_ops import as_tensor, net_of, per_dim, regressor_list
 ESTIMATOR_KINDS = ("ols", "within", "factor", "ker", "ik", "ic")
 EFFECTS_MODES = ("hosvd", "kernel")
 VCOV_MODELS = ("homoskedastic", "heteroskedastic", "hac")
-_FAILURE_TYPES = (EstimationError, RankError, TensorShapeError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -326,28 +325,20 @@ def _evaluate(spec: EstimatorSpec, ws: _PanelWorkspace) -> RoundRecord:
     start = time.perf_counter()
     try:
         report = _report(spec, ws)
-    except _FAILURE_TYPES as exc:
+    except ESTIMATION_ERRORS as exc:
         nans = (float("nan"),) * len(ws.regressors)
-        return RoundRecord(
-            round_index=ws.round_index,
-            estimator=spec.name,
-            estimate=nans,
-            se=nans,
-            ci_lower=nans,
-            ci_upper=nans,
-            converged=False,
-            failed=True,
-            message=f"{type(exc).__name__}: {exc}",
-            seconds=time.perf_counter() - start,
-        )
+        values = (nans,) * 4
+        converged, failed, message = False, True, f"{type(exc).__name__}: {exc}"
+    else:
+        values = [tuple(float(v) for v in a) for a in (report.beta, report.se, report.ci_lower, report.ci_upper)]
+        converged, failed, message = report.diagnostics["converged"], False, ""
     return RoundRecord(
-        round_index=ws.round_index,
-        estimator=spec.name,
-        estimate=tuple(float(b) for b in report.beta),
-        se=tuple(float(s) for s in report.se),
-        ci_lower=tuple(float(c) for c in report.ci_lower),
-        ci_upper=tuple(float(c) for c in report.ci_upper),
-        converged=report.diagnostics["converged"],
+        ws.round_index,
+        spec.name,
+        *values,
+        converged=converged,
+        failed=failed,
+        message=message,
         seconds=time.perf_counter() - start,
     )
 
@@ -371,25 +362,17 @@ def summarize(records, beta_true, specs=None) -> list[McRow]:
     failed rounds; failures are counted separately.  ``sd`` is the n-1 sample
     standard deviation (0 for a single round) and ``rmse`` is defined as
     ``sqrt(bias**2 + sd**2)``, so the decomposition is an identity rather
-    than an approximation.
+    than an approximation.  Rows follow ``specs``, then any other estimator
+    in the order its first record appears.
     """
     target = float(np.atleast_1d(beta_true)[0])
-    order: list[str] = []
-    by_name: dict[str, list[RoundRecord]] = {}
-    if specs is not None:
-        for spec in specs:
-            order.append(spec.name)
-            by_name[spec.name] = []
+    groups: dict[str, list[RoundRecord]] = {spec.name: [] for spec in specs or ()}
     for rec in records:
-        if rec.estimator not in by_name:
-            order.append(rec.estimator)
-            by_name[rec.estimator] = []
-        by_name[rec.estimator].append(rec)
+        groups.setdefault(rec.estimator, []).append(rec)
 
-    levels = {spec.name: spec.level for spec in specs} if specs is not None else {}
+    levels = {spec.name: spec.level for spec in specs or ()}
     rows = []
-    for name in order:
-        recs = by_name[name]
+    for name, recs in groups.items():
         ok = [r for r in recs if not r.failed]
         est = np.array([r.estimate[0] for r in ok])
         ses = np.array([r.se[0] for r in ok])

@@ -516,8 +516,21 @@ def test_full_rank_projection_raises_in_the_plain_and_the_split_estimator():
         corrected_estimate_split(panel.outcome, panel.regressors, (2, 5, 4, 4), plan)
 
 
+def test_split_estimate_rejects_folds_that_do_not_partition_the_split_dimension():
+    """The two folds' pieces go back to full shape, so together they must hold every unit once."""
+    panel = draw(DgpConfig(dims=(8, 6, 5)), np.random.SeedSequence([3]))
+    for fold_a, fold_b in (((0, 1, 2), (3,)), ((0, 1, 2, 3), (3, 4)), ((0, 2, 4), (1, 3, 5))):
+        plan = CrossfitPlan(dim=3, fold_a=fold_a, fold_b=fold_b, seed=0)
+        with pytest.raises(RankError, match="do not partition the 5 units of dimension 3"):
+            corrected_estimate_split(panel.outcome, panel.regressors, (2, 2, 2), plan)
+
+
 def dense_projector_split(y, xs, ranks, plan):
-    """Cross-fit with dense ``B @ B.T`` projectors and per-mode loops; returns the slope and Omega."""
+    """Cross-fit with dense ``B @ B.T`` projectors and per-mode loops.
+
+    Returns the slope, Omega, and the full-shape cleaned regressors and
+    residual, each fold's pieces written into its own index positions.
+    """
     dims = [d for d in range(1, y.ndim + 1) if d != plan.dim]
 
     def take(t, idx):
@@ -530,6 +543,7 @@ def dense_projector_split(y, xs, ranks, plan):
         return t
 
     gram, rhs = np.zeros((len(xs), len(xs))), np.zeros(len(xs))
+    eta_full, effects_full = [np.full(y.shape, np.nan) for _ in xs], np.full(y.shape, np.nan)
     for apply_idx, fit_idx in ((plan.fold_a, plan.fold_b), (plan.fold_b, plan.fold_a)):
         fit_y, fit_x = take(y, fit_idx), [take(x, fit_idx) for x in xs]
         sub_y, sub_x = take(y, apply_idx), [take(x, apply_idx) for x in xs]
@@ -540,7 +554,13 @@ def dense_projector_split(y, xs, ranks, plan):
         target = sub_y - sum(b * g for b, g in zip(bt, gamma)) - effects
         gram += np.array([[np.vdot(a, b) for b in eta] for a in eta])
         rhs += np.array([np.vdot(a, target) for a in eta])
-    return np.linalg.solve(gram, rhs), gram / y.size
+        units = (slice(None),) * (plan.dim - 1) + (np.asarray(apply_idx),)
+        effects_full[units] = effects
+        for full, part in zip(eta_full, eta):
+            full[units] = part
+    beta = np.linalg.solve(gram, rhs)
+    residual = y - sum(b * x for b, x in zip(beta, xs)) - effects_full
+    return beta, gram / y.size, eta_full, residual
 
 
 @pytest.mark.parametrize("n_reg", [1, 2])
@@ -551,6 +571,11 @@ def test_split_estimate_matches_dense_projector_cross_fit(n_reg, split_dim):
     y, xs = panel.outcome - 0.5 * promo, (panel.regressors + [promo])[:n_reg]
     plan = crossfit_split(y.shape, split_dim, seed=split_dim)
     fit = corrected_estimate_split(y, xs, (2, 3, 2), plan)
-    beta, omega = dense_projector_split(y, xs, (2, 3, 2), plan)
+    beta, omega, eta, residual = dense_projector_split(y, xs, (2, 3, 2), plan)
     assert_allclose(fit.beta, beta, rtol=1e-12)
     assert_allclose(fit.omega, omega, rtol=1e-12)
+    # Cell for cell: the HAC variance reads index adjacency from these tensors.
+    scale = np.max(np.abs(y))
+    for k in range(n_reg):
+        assert_allclose(fit.eta[k], eta[k], rtol=0.0, atol=1e-12 * scale)
+    assert_allclose(fit.residual, residual, rtol=0.0, atol=1e-12 * scale)

@@ -188,14 +188,26 @@ def test_importing_the_package_leaves_the_worker_pool_modules_unloaded():
 
 
 def test_failures_are_recorded_not_raised():
+    config = DgpConfig(dims=(6, 6, 6))
     specs = [EstimatorSpec("ok", "ols"), EstimatorSpec("bad", "ic", ranks=(6, 6, 6))]
-    summary = run_monte_carlo(DgpConfig(dims=(6, 6, 6)), specs, 3, master_seed=6)
+    summary = run_monte_carlo(config, specs, 3, master_seed=6)
     bad = summary.row("bad")
     assert bad.failed == 3
     assert np.isnan(bad.bias)
     assert summary.row("ok").ok == 3
     failed_records = [r for r in summary.records if r.failed]
-    assert all(r.message for r in failed_records)
+    assert [r.estimator for r in failed_records] == ["bad"] * 3
+    # Every field of a failed record: NaN per coefficient, not converged, and the error as "TypeName: text".
+    for rec in failed_records:
+        panel = draw(config, np.random.SeedSequence([6, rec.round_index]))
+        with pytest.raises(EstimationError) as raised:
+            estimate_panel(panel.outcome, panel.regressors, specs[1])
+        for values in (rec.estimate, rec.se, rec.ci_lower, rec.ci_upper):
+            assert isinstance(values, tuple) and len(values) == len(panel.regressors)
+            assert all(np.isnan(v) for v in values)
+        assert rec.converged is False and rec.failed is True
+        assert rec.message == f"{type(raised.value).__name__}: {raised.value}"
+        assert rec.seconds > 0.0
 
 
 def test_progress_stream_receives_interim_summaries():
@@ -389,6 +401,12 @@ RELABEL_SPECS = (
 )
 
 
+def metamorphic_panel(rng):
+    """A growing 14x12x10 draw with K = 2: its regressor and one loading on the effects, drawn from ``rng``."""
+    panel = draw(DgpConfig(design="growing", dims=(14, 12, 10)), np.random.SeedSequence([4]))
+    return panel.outcome, [panel.regressors[0], rng.standard_normal(panel.shape) + 0.5 * panel.effects]
+
+
 @pytest.mark.parametrize("spec", RELABEL_SPECS, ids=lambda s: s.name)
 def test_relabelling_units_leaves_the_slopes_unchanged(spec):
     """Permuting the units of one dimension, in y and every regressor alike, is not information.
@@ -397,10 +415,8 @@ def test_relabelling_units_leaves_the_slopes_unchanged(spec):
     depends on index order.  A factor fit stops at a tolerance, so its kinds
     may move by far less than that tolerance.
     """
-    panel = draw(DgpConfig(design="growing", dims=(14, 12, 10)), np.random.SeedSequence([4]))
     rng = np.random.default_rng(40)
-    y = panel.outcome
-    xs = [panel.regressors[0], rng.standard_normal(y.shape) + 0.5 * panel.effects]
+    y, xs = metamorphic_panel(rng)
     base = estimate_panel(y, xs, spec).beta
     tol = 1e-12 if spec.kind in ("ols", "within") else 1e-7 * max(np.max(np.abs(base)), 1.0)
     for axis, n in enumerate(y.shape):
@@ -409,3 +425,18 @@ def test_relabelling_units_leaves_the_slopes_unchanged(spec):
         perm = rng.permutation(n)
         moved = estimate_panel(np.take(y, perm, axis), [np.take(x, perm, axis) for x in xs], spec).beta
         assert_allclose(moved, base, rtol=0.0, atol=tol, err_msg=f"dimension {axis + 1}")
+
+
+@pytest.mark.parametrize("spec", RELABEL_SPECS, ids=lambda s: s.name)
+def test_scaling_the_outcome_scales_slopes_and_standard_errors(spec):
+    """``y -> 3.7 y`` multiplies every slope and standard error by 3.7.
+
+    A factor fit stops at a tolerance, so the kinds that run one may move by
+    far less than that tolerance.
+    """
+    y, xs = metamorphic_panel(np.random.default_rng(40))
+    base = estimate_panel(y, xs, spec)
+    scaled = estimate_panel(3.7 * y, xs, spec)
+    rtol = 1e-12 if spec.kind in ("ols", "within") else 1e-7
+    assert_allclose(scaled.beta, 3.7 * base.beta, rtol=rtol)
+    assert_allclose(scaled.se, 3.7 * base.se, rtol=rtol)

@@ -57,6 +57,7 @@ def test_kernel_timing_cases_all_run(monkeypatch):
         names.append(name)
     assert "dgp.draw/growing-40^3" in names and "dgp.draw/fixed-12^4" in names
     assert "panel_io.load_panel_csv/80x30x100/K2" in names
+    assert "inference.corrected_estimate_split/80x30x100/K2/dim3" in names
 
 
 def test_fit_battery_reference_agrees_with_the_factor_fit():
