@@ -46,8 +46,7 @@ _METHODS = {
     "ols": ("ols", "ols", {}),
     "within": ("within", "within", {}),
     "factor": ("factor", "factor(dim={dim})", {}),
-    "ker": ("ker", "ker(h={h:g})", {"projection": "plain"}),
-    "keropt": ("ker", "keropt(h={h:g})", {"projection": "optimal"}),
+    "ker": ("ker", "ker(h={h:g})", {}),
     "ik": ("ik", "ik(h={h:g})", {}),
     "ic": ("ic", "ic(h={h:g})", {}),
     "ic-split": ("ic", "ic-split(h={h:g})", {"split": True}),

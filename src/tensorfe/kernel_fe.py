@@ -13,9 +13,9 @@ for every proxy dimension, or one per proxy dimension in ascending order
 
 Weight rows are normalized including the own-unit term, so rows always sum to
 one.  A unit with (numerically) no neighbours gets weight one on itself and a
-zero row in the plain projection — it simply drops out of the transformed
-data, which is flagged rather than treated as an error unless *every* unit in
-a dimension is isolated.
+zero row in ``I - W`` — it simply drops out of the transformed data, which is
+flagged rather than treated as an error unless *every* unit in a dimension is
+isolated.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, EstimationError, RankError, TensorShapeError
-from .tensor_ops import _mode_matrix, _mode_product, _truncated_svd, as_tensor, check_dim, cross_moments, net_of
+from .errors import DegenerateWeightsError, RankError, TensorShapeError
+from .tensor_ops import _mode_matrix, _mode_product, as_tensor, check_dim, cross_moments, net_of
 from .tensor_ops import per_dim, regressor_list, solve_gram
 
 KERNEL_FAMILIES = ("gaussian", "indicator")
-PROJECTION_VARIANTS = ("plain", "optimal")
-COLUMN_SPACE_RTOL = 1e-10
 
 
 def kernel_eval(family, u) -> np.ndarray:
@@ -134,31 +132,13 @@ def kernel_weights(proxies, family: str, bandwidth) -> WeightSet:
     return WeightSet(weights=weights, degenerate_rows=degenerate)
 
 
-def within_projections(weight_set: WeightSet, variant: str = "plain") -> dict[int, np.ndarray]:
+def within_projections(weight_set: WeightSet) -> dict[int, np.ndarray]:
     """Turn weight matrices into within-transform matrices, keyed by dimension.
 
-    ``plain`` subtracts the weighted neighbourhood average: ``I - W``.
-    ``optimal`` removes the whole column space of ``W``: it projects onto the
-    left singular vectors of ``W`` whose singular values fall at or below
-    ``1e-10`` of the top one, ``U_perp @ U_perp.T``.  That is idempotent and
-    annihilates anything the weights can express — including the plain
-    transform's target.  When ``W`` has full rank the projector is exactly
-    the zero map, and :func:`kernel_fe_estimate` raises
-    :class:`~tensorfe.errors.EstimationError` naming that dimension instead
-    of fitting rounding noise.
+    Each dimension's matrix subtracts the weighted neighbourhood average:
+    ``I - W``.
     """
-    if variant not in PROJECTION_VARIANTS:
-        raise ValueError(f"unknown projection variant {variant!r}; choose from {PROJECTION_VARIANTS}")
-    mats: dict[int, np.ndarray] = {}
-    for d, w in weight_set.weights.items():
-        n = w.shape[0]
-        if variant == "plain":
-            mats[d] = np.eye(n) - w
-        else:
-            svd = _truncated_svd(w, n)
-            perp = svd.u[:, np.sum(svd.s > COLUMN_SPACE_RTOL * svd.s[0]) :]
-            mats[d] = perp @ perp.T
-    return mats
+    return {d: np.eye(w.shape[0]) - w for d, w in weight_set.weights.items()}
 
 
 def weighted_within(t, projections: dict[int, np.ndarray]) -> np.ndarray:
@@ -225,16 +205,11 @@ class KernelFeFit:
 def _within_fit(y, x, projections: dict[int, np.ndarray], degenerate_rows: dict) -> KernelFeFit:
     # The shared tail of both kernel estimators: transform, then pooled OLS.
     # No within matrix at all would make the fit pooled OLS under a kernel
-    # label.  A zero within matrix would leave no data to fit.  ``I - W`` is zero only
-    # when every row is isolated, which ``kernel_weights`` already rejects, so
-    # in practice this is the full-rank optimal projection.
+    # label.  A zero within matrix leaves no data, and ``solve_gram`` raises.
     y_arr = as_tensor(y, name="outcome", min_order=2)
     xs = regressor_list(x, y_arr.shape)
     if not projections:
         raise RankError("no within matrices supplied; the fit would be pooled OLS")
-    for d in sorted(projections):
-        if not np.any(projections[d]):
-            raise EstimationError(f"the optimal projection removes all data: dimension {d}'s kernel weights have full rank")
     y_t = _within(y_arr, projections)
     x_t = [_within(xk, projections) for xk in xs]
     beta = solve_gram(*cross_moments(x_t, y_t))

@@ -7,7 +7,7 @@ with an ``R``-round run.  Within a round, estimators share cached
 intermediates (factor fits, proxies, kernel weights) through a small
 workspace, mirroring how the estimators are meant to be pipelined: the
 kernel-within estimate is the preliminary slope for the orthogonalized
-corrected estimator, and the proxies for both kernel variants come from one
+corrected estimator, and the proxies for both kernel estimators come from one
 factor-based preliminary fit.
 """
 
@@ -35,7 +35,6 @@ from .inference import (
 )
 from .kernel_fe import (
     KERNEL_FAMILIES,
-    PROJECTION_VARIANTS,
     KernelFeFit,
     kernel_fe_estimate,
     kernel_weights,
@@ -56,17 +55,16 @@ class EstimatorSpec:
     """One estimator configuration inside a Monte-Carlo battery.
 
     ``kind`` picks the estimator; the remaining fields only matter where they
-    apply (``flatten_dim`` for factor fits, ``bandwidth``/``kernel``/
-    ``projection`` for the kernel variants, ``ranks``/``effects``/``split``
-    for the corrected estimator).  ``effects`` selects how the corrected
-    estimator removes the interactive component from the outcome: a
-    multilinear truncation of the preliminary residual (``"hosvd"``) or the
-    preliminary kernel fit's own smoothed-effects estimate (``"kernel"``).
-    The cross-fitted corrected estimator (``split=True``) truncates the
-    residual, so it takes ``"hosvd"`` only.  ``kernel`` names one of
-    ``KERNEL_FAMILIES`` and ``projection`` one of ``PROJECTION_VARIANTS``.
-    Every choice is checked when the spec is built, so a battery never
-    starts with one that would fail in every round.
+    apply (``flatten_dim`` for factor fits, ``bandwidth``/``kernel`` for the
+    kernel estimators, ``ranks``/``effects``/``split`` for the corrected
+    estimator).  ``effects`` selects how the corrected estimator removes the
+    interactive component from the outcome: a multilinear truncation of the
+    preliminary residual (``"hosvd"``) or the preliminary kernel fit's own
+    smoothed-effects estimate (``"kernel"``).  The cross-fitted corrected
+    estimator (``split=True``) truncates the residual, so it takes
+    ``"hosvd"`` only.  ``kernel`` names one of ``KERNEL_FAMILIES``.  Every
+    choice is checked when the spec is built, so a battery never starts with
+    one that would fail in every round.
     ``proxy_ranks`` overrides the number of proxy columns per dimension
     (default: ``n_factors`` everywhere, as for ``ranks``).  ``ranks``,
     ``proxy_ranks``, ``bandwidth`` and ``lags`` each take one value for every
@@ -83,7 +81,6 @@ class EstimatorSpec:
     proxy_ranks: int | tuple[int, ...] | None = None
     kernel: str = "gaussian"
     bandwidth: float | tuple[float, ...] = 0.1
-    projection: str = "plain"
     ranks: int | tuple[int, ...] | None = None
     effects: str = "hosvd"
     split: bool = False
@@ -101,8 +98,6 @@ class EstimatorSpec:
             raise ValueError(f"unknown variance model {self.vcov!r}; choose from {VCOV_MODELS}")
         if self.kernel not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.kernel!r}; choose from {KERNEL_FAMILIES}")
-        if self.projection not in PROJECTION_VARIANTS:
-            raise ValueError(f"unknown projection variant {self.projection!r}; choose from {PROJECTION_VARIANTS}")
         if self.kind == "ic" and self.split and self.effects == "kernel":
             raise ValueError("the cross-fitted corrected estimator (split=True) takes effects='hosvd' only")
 
@@ -226,11 +221,11 @@ class _PanelWorkspace:
 
     def kernel_fit(self, spec: EstimatorSpec) -> KernelFeFit:
         """The kernel-within fit of a :func:`_resolve`-d spec."""
-        key = (spec.kernel, spec.bandwidth, spec.projection, spec.proxy_ranks, spec.n_factors, spec.prelim_dim)
+        key = (spec.kernel, spec.bandwidth, spec.proxy_ranks, spec.n_factors, spec.prelim_dim)
         if key not in self._kernel_fits:
             proxies = self.proxies(spec.proxy_ranks, spec.n_factors, spec.prelim_dim)
             weights = kernel_weights(proxies, spec.kernel, spec.bandwidth)
-            projections = within_projections(weights, spec.projection)
+            projections = within_projections(weights)
             self._kernel_fits[key] = kernel_fe_estimate(
                 self.outcome, self.regressors, projections, weight_set=weights
             )
@@ -270,21 +265,20 @@ def _point_estimate(spec: EstimatorSpec, ws: _PanelWorkspace):
         diag = {"degenerate_rows": {f"{d}.{m}": len(v) for (d, m), v in fit.degenerate_rows.items()}}
         eta, resid = fit.x_within, fit.residual
     else:  # corrected estimator
-        plain = replace(spec, projection="plain")
         if spec.split:
             split_dim = spec.split_dim if spec.split_dim is not None else y.ndim
             plan = crossfit_split(y.shape, split_dim, seed=ws.round_index)
 
             def prelim(y_fold: np.ndarray, x_fold: list[np.ndarray]) -> np.ndarray:
                 fold = _PanelWorkspace(y_fold, x_fold)
-                beta = fold.kernel_fit(plain).beta
+                beta = fold.kernel_fit(spec).beta
                 fold_converged.append(fold.factor_fit(spec.prelim_dim, spec.n_factors).converged)
                 return beta
 
             fit = corrected_estimate_split(y, xs, spec.ranks, plan, prelim=prelim)
             diag = {"split_dim": split_dim, "fold_sizes": [len(f) for f in plan.folds]}
         else:
-            prelim_fit = ws.kernel_fit(plain)
+            prelim_fit = ws.kernel_fit(spec)
             effects = None
             if spec.effects == "kernel":
                 effects = smoothed_effects(net_of(y, xs, prelim_fit.beta), prelim_fit.projections)

@@ -377,8 +377,13 @@ def regressor_list(x, shape, name: str = "regressor") -> list[np.ndarray]:
 
 
 def net_of(y, xs, beta) -> np.ndarray:
-    """Residual ``y - sum_k beta[k] * xs[k]``: the fitted part is summed, then subtracted once."""
-    return y - sum(b * xk for b, xk in zip(beta, xs))
+    """Residual ``y - sum_k beta[k] * xs[k]``: the fitted part is summed, then subtracted once.
+
+    ``xs`` is non-empty; the sum starts from the first product, not from a
+    zero that would cost one more cell-sized temporary.
+    """
+    fits = (b * xk for b, xk in zip(beta, xs))
+    return y - sum(fits, next(fits))
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -288,14 +288,6 @@ def test_criterion_6_property_suite():
          np.allclose(weighted_within(t, projections), standard_within(t), atol=1e-12))
     )
 
-    ok_proj = True
-    for _ in range(20):
-        cols = rng.standard_normal((8, 1))
-        w = kernel_weights({1: cols}, "gaussian", 0.8)
-        m = within_projections(w, "optimal")[1]
-        ok_proj &= np.allclose(m @ m, m, atol=1e-8) and np.allclose(m, m.T, atol=1e-8)
-    checks.append(("column-space projectors idempotent and symmetric", ok_proj))
-
     cfg = DgpConfig(dims=(8, 8, 8))
     specs = [EstimatorSpec("ols", "ols"), EstimatorSpec("factor1", "factor")]
     serial = run_monte_carlo(cfg, specs, 4, master_seed=MASTER_SEED, threads=1)

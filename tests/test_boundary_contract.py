@@ -47,7 +47,7 @@ from tensorfe import (
     write_panel_csv,
 )
 from tensorfe import kernel_fe, montecarlo
-from tensorfe.errors import EstimationError, TensorShapeError
+from tensorfe.errors import ESTIMATION_ERRORS, EstimationError, TensorShapeError
 from tensorfe.inference import build_report
 from tensorfe.kernel_fe import smoothed_effects
 from tensorfe.tensor_ops import solve_gram
@@ -167,6 +167,37 @@ def test_a_nan_made_past_the_boundary_fails_the_round_record(monkeypatch):
     monkeypatch.setattr(montecarlo, "var_hac", lambda eta, resid, lags: np.full((1, 1), np.nan))
     record = montecarlo._evaluate(ker, ws())
     assert record.failed and record.message == "EstimationError: the variance estimate is non-finite"
+
+
+def _domain_case(name):
+    """``(y, regressors)`` of one ill-posed input, built from a growing 12x10x8 draw."""
+    panel = draw(DgpConfig("growing", (12, 10, 8)), np.random.SeedSequence([31]))
+    y, x = panel.outcome, panel.regressors[0]
+    noise = np.random.default_rng(32).standard_normal(y.shape)
+    if name == "near-collinear":
+        return y, [x, x + 1e-10 * noise]
+    if name == "zero regressor":
+        return y, [x, np.zeros_like(x)]
+    if name == "zero outcome":
+        return np.zeros_like(y), [x]
+    if name == "constant along dimension 3":
+        return np.repeat(y[:, :, :1], y.shape[2], axis=2), [np.repeat(x[:, :, :1], x.shape[2], axis=2)]
+    return y[:, :, :2], [x[:, :, :2]]  # a dimension of size 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "case", ["near-collinear", "zero regressor", "zero outcome", "constant along dimension 3", "dimension of size 2"]
+)
+@pytest.mark.parametrize("kind", montecarlo.ESTIMATOR_KINDS)
+def test_ill_posed_panels_raise_a_domain_error_or_give_finite_results(kind, case):
+    """No floating-point warning and no NaN: a domain error, or a finite slope and SE."""
+    y, xs = _domain_case(case)
+    try:
+        report = estimate_panel(y, xs, EstimatorSpec(kind, kind, bandwidth=0.8))
+    except ESTIMATION_ERRORS:
+        return
+    assert np.all(np.isfinite(report.beta)) and np.all(np.isfinite(report.se))
 
 
 def _old_defactored(fit, xs):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tensorfe.cli import main
+from tensorfe.cli import METHOD_CHOICES, main
 from tensorfe.dgp import DgpConfig, draw
 from tensorfe.inference import pooled_ols
 from tensorfe.panel_io import write_panel_csv
@@ -159,17 +159,6 @@ def test_one_lag_spelling_is_every_dimensions_lag(panel_csv, tmp_path, spelling)
     assert got == expected
 
 
-def test_keropt_with_full_rank_weights_names_the_projection(tmp_path, capsys):
-    panel = draw(DgpConfig(dims=(12, 10, 8)), np.random.SeedSequence([21]))
-    path = tmp_path / "panel.csv"
-    write_panel_csv(path, panel.outcome, panel.regressors, dim_names=INDEX, x_names=["x1"])
-    code = main(estimate_args(path, "--method", "keropt", "--bandwidth", "1.0"))
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "optimal projection" in err
-    assert "dimension 1's kernel weights have full rank" in err
-
-
 def test_diagnose_reports_residual_spectra(panel_csv, tmp_path, capsys):
     path, panel = panel_csv
     out = tmp_path / "diag.json"
@@ -242,10 +231,32 @@ def test_simulate_rejects_empty_bandwidths(tmp_path, capsys, config):
 
 
 def test_unknown_flag_exits_with_usage(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--frobnicate"])
-    assert exc.value.code == 2
-    assert "usage" in capsys.readouterr().err.lower()
+    for argv, message in [
+        (["simulate", "--frobnicate"], "unrecognized arguments"),
+        (estimate_args("panel.csv", "--method", "keropt"), "invalid choice: 'keropt'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage" in err.lower()
+        assert message in err
+
+
+@pytest.mark.parametrize("where", ["config", "estimators"])
+def test_unknown_method_token_fails_naming_the_choices(panel_csv, tmp_path, capsys, where):
+    """A method token that is not in ``METHOD_CHOICES`` fails cleanly wherever argparse cannot check it."""
+    if where == "config":
+        path, _ = panel_csv
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"method": "keropt"}))
+        argv = ["--config", str(cfg), *estimate_args(path)]
+    else:
+        argv = ["simulate", "--dims", "6,6,6", "--rounds", "1", "--estimators", "ols,keropt"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "'keropt'" in err
+    assert all(repr(token) in err for token in METHOD_CHOICES)
 
 
 def test_records_out_contains_every_round(tmp_path):

@@ -9,7 +9,6 @@ from tensorfe.errors import DegenerateWeightsError, EstimationError, RankError
 from tensorfe.factor import residual_proxies
 from tensorfe.kernel_fe import (
     _pairwise_distances,
-    WeightSet,
     iterative_kernel_fe,
     kernel_eval,
     kernel_fe_estimate,
@@ -231,49 +230,6 @@ def test_smoothing_complements_the_within_transform(rng):
     assert_allclose(weighted_within(t, projections) + smoothed_effects(t, projections), t, atol=1e-12)
 
 
-# -- column-space ("optimal") projections -------------------------------------
-
-
-def manual_weight_set(mat):
-    return WeightSet(
-        weights={1: np.asarray(mat, dtype=float)},
-        degenerate_rows={1: np.array([], dtype=np.int64)},
-    )
-
-
-def test_identity_weights_give_zero_projector():
-    pj = within_projections(manual_weight_set(np.eye(5)), "optimal")
-    assert_allclose(pj[1], 0.0, atol=1e-12)
-
-
-def test_uniform_weights_give_demeaning_projector():
-    n = 6
-    pj = within_projections(manual_weight_set(np.full((n, n), 1.0 / n)), "optimal")
-    assert_allclose(pj[1], np.eye(n) - 1.0 / n, atol=1e-10)
-
-
-def test_full_rank_weights_make_the_optimal_estimate_raise(rng):
-    """Full-rank weights leave no within-variation: exactly zero data, no estimate from rounding noise."""
-    proxies = scalar_proxies(0.0, 1.0, 2.0, 3.0, 4.0)
-    weights = kernel_weights(proxies, "gaussian", 1.0)
-    assert np.linalg.matrix_rank(weights.weights[1]) == 5
-    pj = within_projections(weights, "optimal")
-    assert not np.any(pj[1])
-    y = rng.standard_normal((5, 4, 3))
-    with pytest.raises(EstimationError):
-        kernel_fe_estimate(y, [rng.standard_normal((5, 4, 3))], pj)
-
-
-@given(st.integers(0, 2**31 - 1))
-def test_optimal_projector_is_symmetric_idempotent(seed):
-    rng = np.random.default_rng(seed)
-    proxies = proxy_set({1: rng.standard_normal((7, 1))})
-    w = kernel_weights(proxies, "gaussian", 0.8)
-    m = within_projections(w, "optimal")[1]
-    assert_allclose(m, m.T, atol=1e-8)
-    assert_allclose(m @ m, m, atol=1e-8)
-
-
 # -- estimators built on the transforms ---------------------------------------
 
 
@@ -298,6 +254,12 @@ def test_kernel_estimators_reject_a_fit_without_proxies(rng):
         iterative_kernel_fe(y, [x], {}, "gaussian", 1.0)
     with pytest.raises(RankError, match="no within matrices"):
         kernel_fe_estimate(y, [x], {})
+
+
+def test_a_zero_within_matrix_leaves_no_data_and_raises(rng):
+    y, x = rng.standard_normal((5, 4, 3)), rng.standard_normal((5, 4, 3))
+    with pytest.raises(EstimationError, match="identically zero"):
+        kernel_fe_estimate(y, [x], {1: np.zeros((5, 5))})
 
 
 def test_attenuation_improves_with_proxy_accuracy():

@@ -261,9 +261,7 @@ def test_estimate_panel_kernel_matches_manual_pipeline():
     prelim = fit_factor_model(y, xs, spec.prelim_dim, spec.n_factors)
     resid = y - sum(b * xk for b, xk in zip(prelim.beta, xs))
     proxies = residual_proxies(resid, spec.n_factors)
-    projections = within_projections(
-        kernel_weights(proxies, spec.kernel, spec.bandwidth), spec.projection
-    )
+    projections = within_projections(kernel_weights(proxies, spec.kernel, spec.bandwidth))
     manual = kernel_fe_estimate(y, xs, projections)
     assert_array_equal(report.beta, manual.beta)
 
@@ -276,13 +274,6 @@ def test_estimate_panel_honors_variance_model():
     assert hac.variance_model == "hac"
     assert homo.se[0] != hac.se[0]
     assert_array_equal(homo.beta, hac.beta)
-
-
-def test_optimal_projection_with_full_rank_weights_raises():
-    panel = draw(DgpConfig(dims=(30, 30, 30)), np.random.SeedSequence([0]))
-    spec = EstimatorSpec("keropt", "ker", projection="optimal", bandwidth=1.0)
-    with pytest.raises(EstimationError):
-        estimate_panel(panel.outcome, panel.regressors, spec)
 
 
 def counting_factor_fits(monkeypatch, full_shape, fold_max_iter=None):
@@ -380,8 +371,9 @@ def test_spec_validation():
     # Checked when the spec is built, so no battery starts with a setting that fails in its kernel fit.
     with pytest.raises(ValueError, match="unknown kernel family"):
         EstimatorSpec("x", "ker", kernel="cauchy")
-    with pytest.raises(ValueError, match="unknown projection variant"):
-        EstimatorSpec("x", "ker", projection="best")
+    # ``I - W`` is the one kernel within transform; there is no projection to choose.
+    with pytest.raises(TypeError, match="projection"):
+        EstimatorSpec("k", "ker", projection="plain")
     # Cross-fitting truncates the residual; it would silently ignore the kernel effects.
     with pytest.raises(ValueError, match="split"):
         EstimatorSpec("x", "ic", split=True, effects="kernel")
